@@ -67,10 +67,10 @@ void BM_PensieveDecision(benchmark::State& state) {
 BENCHMARK(BM_PensieveDecision);
 
 // Dense::forward_batch at the stall-exit net's fc1 shape (64 x 1600, the
-// layer whose weight traffic dominates batched inference). rows/s is the
-// figure of merit: the 8-row block + SIMD panel kernel should hold it
-// roughly flat from 8 rows up, while 1-row batches pay the full weight
-// stream per row.
+// dominant term of batched inference). rows/s is the figure of merit. The
+// fleet's pooled flushes average ~1.6 rows, so the 1-3-row arguments are the
+// ones that move end-to-end throughput: at those sizes the layer is bound by
+// add latency, and a kernel with too few independent chains shows up here.
 void BM_DenseForwardBatch(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kIn = 1600, kOut = 64;
@@ -90,12 +90,12 @@ void BM_DenseForwardBatch(benchmark::State& state) {
       static_cast<double>(state.iterations()) * static_cast<double>(rows),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_DenseForwardBatch)->Arg(1)->Arg(4)->Arg(8)->Arg(64)->Arg(512);
+BENCHMARK(BM_DenseForwardBatch)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(64)->Arg(512);
 
-// The same fc1-shaped panel under each dispatchable ISA (args: isa, rows).
-// All variants are bitwise identical (lanes across rows); this bench is why
-// the runtime default is AVX2 — the 512-bit variant measures slower on
-// downclocking server parts despite the wider panel.
+// The same fc1-shaped layer under each dispatchable ISA (args: isa, rows).
+// All variants are bitwise identical (no lane runs along the reduction);
+// this bench is why the runtime default is AVX2 — the 512-bit variant
+// measures slower on downclocking server parts despite the wider panel.
 void BM_DenseForwardBatchIsa(benchmark::State& state) {
   const auto requested = static_cast<nn::DenseIsa>(state.range(0));
   const auto rows = static_cast<std::size_t>(state.range(1));

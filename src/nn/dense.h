@@ -6,14 +6,15 @@
 namespace lingxi::nn {
 
 /// Instruction set the batched dense kernel runs on. Every variant keeps
-/// SIMD lanes ACROSS batch rows (never along the reduction), so all four
-/// produce bitwise-identical outputs — pinned by the forced-ISA parity
-/// tests. Ordered narrow to wide so clamping to hardware support is a min().
+/// SIMD lanes across batch rows or across outputs (never along the
+/// reduction), so all four produce bitwise-identical outputs — pinned by the
+/// forced-ISA parity tests. Ordered narrow to wide so clamping to hardware
+/// support is a min().
 enum class DenseIsa {
   kScalar = 0,  ///< unrolled scalar blocks only
-  kSse2 = 1,    ///< 16-byte generic vectors (the PR4 kernel), full blocks only
-  kAvx2 = 2,    ///< 4-lane ymm panel, partial blocks >= 2 rows ride it too
-  kAvx512 = 3,  ///< 8-lane zmm panel, partial blocks >= 2 rows ride it too
+  kSse2 = 1,    ///< 16-byte generic vectors, full 8-row blocks only
+  kAvx2 = 2,    ///< ymm kernels for every block size (see forward_batch)
+  kAvx512 = 3,  ///< 8-lane zmm panel, blocks of 2-8 rows (zero-padded)
 };
 
 /// Name for logs / env parsing: "scalar", "sse2", "avx2", "avx512".
@@ -40,13 +41,16 @@ class Dense final : public Layer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  /// Batched inference: out.row(b) = W in.row(b) + b for every row. Blocked
-  /// over batch rows so each weight row is streamed once per block instead of
-  /// once per item (the 64x1600 fc1 weight matrix of the stall-exit net does
-  /// not fit in L1/L2, so weight traffic dominates the scalar path). The
-  /// per-output accumulation order matches forward() exactly, making each
-  /// output row bitwise identical to the scalar path. Inference only: does
-  /// not touch the backward() caches, safe on a const layer.
+  /// Batched inference: out.row(b) = W in.row(b) + b for every row, in
+  /// blocks of up to 8 rows. Every output is one serial chain of in_features
+  /// dependent adds, so at the 1-7-row blocks the fleet runs the layer is
+  /// bound by add latency, not weight traffic; the AVX2 kernels keep at least
+  /// eight independent chains in flight at every block size — lanes across
+  /// outputs (4x4 in-register weight transposes) for 1-2 rows, lanes across
+  /// rows of a 4- or 8-lane panel with several outputs per pass above that.
+  /// The per-output accumulation order matches forward() exactly, making
+  /// each output row bitwise identical to the scalar path. Inference only:
+  /// does not touch the backward() caches, safe on a const layer.
   void forward_batch(ConstBatchView in, BatchView out) const;
 
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }

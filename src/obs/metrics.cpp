@@ -91,7 +91,7 @@ double MetricSnapshot::quantile(double q) const noexcept {
   return max;
 }
 
-const MetricSnapshot* RegistrySnapshot::find(std::string_view name) const noexcept {
+const MetricSnapshot* RegistrySnapshot::find(std::string_view name) const& noexcept {
   for (const MetricSnapshot& m : metrics) {
     if (m.name == name) return &m;
   }

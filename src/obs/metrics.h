@@ -86,8 +86,11 @@ struct MetricSnapshot {
 struct RegistrySnapshot {
   std::vector<MetricSnapshot> metrics;
 
-  /// Metric by exact name; nullptr when absent.
-  const MetricSnapshot* find(std::string_view name) const noexcept;
+  /// Metric by exact name; nullptr when absent. The pointer aims into
+  /// `metrics`, so a temporary snapshot (`reg.snapshot().find(...)`) would
+  /// dangle: bind the snapshot to a named object first.
+  const MetricSnapshot* find(std::string_view name) const& noexcept;
+  const MetricSnapshot* find(std::string_view name) const&& = delete;
   /// Stable JSON schema `lingxi.obs.metrics/v1`:
   ///   {"schema": "lingxi.obs.metrics/v1",
   ///    "metrics": [

@@ -194,8 +194,11 @@ Status check_compatible(const FleetSnapshot& snapshot, const sim::FleetConfig& c
 /// Wrap a predictor factory so every predictor it hands out carries the
 /// snapshot's net weights — resume is then robust against factory drift
 /// between the saving and resuming processes. With an empty `net_model` the
-/// base factory is returned unchanged. The blob must have been validated
-/// (load_snapshot does); weight/shape mismatches are a contract violation.
+/// base factory is returned unchanged. Each predictor gets a private clone of
+/// the base predictor's net before the weights load, so the caller's model
+/// is never written (workers call the factory concurrently). The blob must
+/// have been validated (load_snapshot does); weight/shape mismatches are a
+/// contract violation.
 sim::FleetRunner::PredictorFactory resume_predictor_factory(
     sim::FleetRunner::PredictorFactory base, std::vector<unsigned char> net_model);
 

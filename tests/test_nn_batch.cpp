@@ -7,10 +7,13 @@
 // "equivalent" reformulations drift unless parity is pinned exactly).
 //
 // Batch sizes cover 1, 2, 7 (odd remainder against the 8-row block of
-// Dense::forward_batch), 64, and the empty batch.
+// Dense::forward_batch), 64, and the empty batch. The Dense kernels'
+// dispatch boundaries (lanes across outputs for 1-2 rows, 4- and 8-lane row
+// panels above) get their own sweep at the fc1 shape and at tail shapes.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -121,11 +124,11 @@ TEST(DenseBatch, SimdPanelKernelStridedViews) {
 
 TEST(DenseBatch, ForcedIsaBitwiseParity) {
   // Every dispatchable ISA must produce byte-identical outputs: lanes run
-  // across batch rows, never along the reduction, so changing the vector
-  // width changes nothing about any row's accumulation order. Sweeps every
-  // supported ISA (skipping unsupported ones) over batch sizes covering the
-  // scalar path, padded partial panels (2..7 rows) and full 8-row panels,
-  // then restores the dispatch default.
+  // across batch rows or across outputs, never along the reduction, so
+  // changing the kernel changes nothing about any output's accumulation
+  // order. Sweeps every supported ISA (skipping unsupported ones) over batch
+  // sizes covering single rows, partial blocks and full 8-row blocks, then
+  // restores the dispatch default.
   const nn::DenseIsa before = nn::dense_isa();
   Rng rng(91);
   constexpr std::size_t kIn = 160, kOut = 17;
@@ -149,6 +152,61 @@ TEST(DenseBatch, ForcedIsaBitwiseParity) {
     }
   }
   nn::set_dense_isa_for_testing(before);
+}
+
+// Dense::forward_batch against forward(), row by row, under every supported
+// ISA, with contiguous and strided views (strides leave a gap after each
+// row that must stay untouched).
+void expect_dense_parity_every_isa(std::size_t in, std::size_t out, std::uint64_t seed) {
+  const nn::DenseIsa before = nn::dense_isa();
+  Rng rng(seed);
+  nn::Dense layer(in, out, rng);
+  constexpr double kUntouched = -7.0;
+  for (const std::size_t rows : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16}) {
+    for (const std::size_t gap : {0, 3}) {
+      const std::size_t in_stride = in + gap;
+      const std::size_t out_stride = out + gap;
+      const std::vector<double> x = random_values(rows * in_stride, rng);
+      std::vector<nn::Tensor> want;
+      for (std::size_t b = 0; b < rows; ++b) {
+        want.push_back(layer.forward(nn::Tensor(
+            {in}, {x.begin() + b * in_stride, x.begin() + b * in_stride + in})));
+      }
+      for (const nn::DenseIsa isa : {nn::DenseIsa::kScalar, nn::DenseIsa::kSse2,
+                                     nn::DenseIsa::kAvx2, nn::DenseIsa::kAvx512}) {
+        if (!nn::dense_isa_supported(isa)) continue;
+        ASSERT_EQ(nn::set_dense_isa_for_testing(isa), isa);
+        std::vector<double> got(rows * out_stride, kUntouched);
+        layer.forward_batch({x.data(), rows, in, in_stride},
+                            {got.data(), rows, out, out_stride});
+        for (std::size_t b = 0; b < rows; ++b) {
+          for (std::size_t o = 0; o < out_stride; ++o) {
+            const double expected = o < out ? want[b][o] : kUntouched;
+            ASSERT_EQ(got[b * out_stride + o], expected)
+                << in << "->" << out << " " << nn::dense_isa_name(isa) << " rows " << rows
+                << " gap " << gap << " row " << b << " col " << o;
+          }
+        }
+      }
+    }
+  }
+  nn::set_dense_isa_for_testing(before);
+}
+
+TEST(DenseBatch, Fc1ShapeParityAtDispatchBoundaries) {
+  // The stall-exit net's fc1 (1600 -> 64): four whole 4x4-transpose groups
+  // per output pass and whole row-panel passes, the shape the fleet runs.
+  expect_dense_parity_every_isa(1600, 64, 501);
+}
+
+TEST(DenseBatch, TailShapeParityAtDispatchBoundaries) {
+  // Shapes that leave remainders everywhere: `in` not a multiple of 4
+  // (transpose tail), `out` not a multiple of a pass (single-group passes
+  // and scalar output tails), and fc2's 64 -> 2 head that fits no group.
+  expect_dense_parity_every_isa(13, 9, 502);
+  expect_dense_parity_every_isa(64, 2, 503);
+  expect_dense_parity_every_isa(1601, 23, 504);
+  expect_dense_parity_every_isa(6, 7, 505);
 }
 
 TEST(DenseIsa, ClampsToSupportAndReportsNames) {
@@ -188,6 +246,40 @@ TEST(Conv1DBatch, BitwiseParityAcrossBatchSizes) {
     layer.forward_batch({in.data(), batch, kInCols}, {got.data(), batch, kOutCols});
     for (std::size_t i = 0; i < batch * kOutCols; ++i) {
       EXPECT_EQ(got[i], want[i]) << "batch " << batch << " element " << i;
+    }
+  }
+}
+
+TEST(Conv1DBatch, ChannelVectorizedParityWithStridedViews) {
+  // The exit-net branch shape (1 -> 64 channels, kernel 4, length 8: eight
+  // whole 8-channel blocks) and a multi-input shape with a channel tail
+  // (3 -> 13: one block plus five scalar channels), read and written through
+  // strided views.
+  struct Shape {
+    std::size_t in_ch, out_ch, kernel, len;
+  };
+  Rng rng(29);
+  for (const Shape shape : {Shape{1, 64, 4, 8}, Shape{3, 13, 2, 6}}) {
+    nn::Conv1D layer(shape.in_ch, shape.out_ch, shape.kernel, rng);
+    const std::size_t in_cols = shape.in_ch * shape.len;
+    const std::size_t out_cols = shape.out_ch * (shape.len - shape.kernel + 1);
+    for (const std::size_t batch : {1, 3, 9}) {
+      const std::size_t in_stride = in_cols + 2, out_stride = out_cols + 1;
+      const std::vector<double> in = random_values(batch * in_stride, rng);
+      std::vector<double> got(batch * out_stride, -1.0);
+      layer.forward_batch({in.data(), batch, in_cols, in_stride},
+                          {got.data(), batch, out_cols, out_stride});
+      for (std::size_t b = 0; b < batch; ++b) {
+        const nn::Tensor want = layer.forward(nn::Tensor(
+            {shape.in_ch, shape.len},
+            {in.begin() + b * in_stride, in.begin() + b * in_stride + in_cols}));
+        for (std::size_t i = 0; i < out_cols; ++i) {
+          EXPECT_EQ(got[b * out_stride + i], want[i])
+              << shape.out_ch << " channels, batch " << batch << " row " << b
+              << " element " << i;
+        }
+        EXPECT_EQ(got[b * out_stride + out_cols], -1.0) << "stride gap written";
+      }
     }
   }
 }

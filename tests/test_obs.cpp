@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.h"
@@ -122,6 +123,14 @@ TEST(ObsRegistry, HistogramBucketBoundaries) {
   EXPECT_NEAR(h->value, 0.5 + 1.0 + 1.5 + 2.0 + 4.0 + 4.1 + 100.0, 1e-12);
 }
 
+// find() on a temporary snapshot would return a pointer into a destroyed
+// vector, so the rvalue overload is deleted: only named snapshots resolve.
+template <class S>
+concept FindableOn = requires(S&& snap) { std::forward<S>(snap).find("g"); };
+static_assert(FindableOn<const RegistrySnapshot&>);
+static_assert(!FindableOn<RegistrySnapshot>);
+static_assert(!FindableOn<const RegistrySnapshot>);
+
 TEST(ObsRegistry, GaugeMergeHighestUpdateCountWinsTieMaxValue) {
   {
     // Shard A sets three times (last value 1), shard B once (value 9):
@@ -131,7 +140,8 @@ TEST(ObsRegistry, GaugeMergeHighestUpdateCountWinsTieMaxValue) {
     reg.set("g", 6.0);
     reg.set("g", 1.0);
     std::thread([&reg] { reg.set("g", 9.0); }).join();
-    const MetricSnapshot* g = reg.snapshot().find("g");
+    const RegistrySnapshot snap = reg.snapshot();
+    const MetricSnapshot* g = snap.find("g");
     ASSERT_NE(g, nullptr);
     EXPECT_DOUBLE_EQ(g->value, 1.0);
   }
@@ -140,7 +150,8 @@ TEST(ObsRegistry, GaugeMergeHighestUpdateCountWinsTieMaxValue) {
     Registry reg;
     reg.set("g", 3.0);
     std::thread([&reg] { reg.set("g", 8.0); }).join();
-    const MetricSnapshot* g = reg.snapshot().find("g");
+    const RegistrySnapshot snap = reg.snapshot();
+    const MetricSnapshot* g = snap.find("g");
     ASSERT_NE(g, nullptr);
     EXPECT_DOUBLE_EQ(g->value, 8.0);
   }
@@ -298,7 +309,8 @@ TEST(ObsSampler, GaugesAndRates) {
   facts.day = 3;
   facts.sessions_total = 250;
   sampler.sample_at(facts, /*now_us=*/1'000'000);
-  EXPECT_EQ(reg.snapshot().find("sim.fleet.sessions_per_sec"), nullptr);
+  const RegistrySnapshot after_zero_window = reg.snapshot();
+  EXPECT_EQ(after_zero_window.find("sim.fleet.sessions_per_sec"), nullptr);
 
   // A real window: (450 - 150) sessions over 2 elapsed seconds.
   facts.day = 4;

@@ -581,6 +581,33 @@ TEST(SnapshotResume, PredictorFactoryOverridesDriftedWeights) {
   EXPECT_NE(restored.predict(query), drifted_copy.predict(query));
 }
 
+TEST(SnapshotResume, ResumedRunLeavesCallerPredictorWeightsUntouched) {
+  // The base factory hands out copies of the caller's predictor, which share
+  // its net; the snapshot carries different weights. Every worker calls the
+  // wrapped factory at once, so it must clone before loading: the caller's
+  // model stays bit-identical and the resumed run still uses the snapshot's
+  // weights (it reproduces the uninterrupted reference run).
+  sim::FleetConfig cfg = fleet_config();
+  cfg.threads = 4;
+  constexpr std::uint64_t kSeed = 77;
+  const sim::FleetAccumulator full = make_runner(cfg).run(kSeed);
+
+  const SavedLeg leg = make_saved_leg(kSeed);
+  const predictor::HybridExitPredictor caller = predictor_factory(999)();
+  const auto caller_weights =
+      nn::serialize_model(nn::kModelKindStallExitNet, caller.net().weights());
+  ASSERT_NE(caller_weights, leg.snapshot.net_model);
+
+  sim::FleetRunner resumed_runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
+  resumed_runner.set_predictor_factory(snapshot::resume_predictor_factory(
+      [&caller] { return caller; }, leg.snapshot.net_model));
+  const sim::FleetAccumulator resumed =
+      resumed_runner.run_days(kSeed, 2, cfg.days, &leg.snapshot.state);
+  EXPECT_EQ(resumed.checksum(), full.checksum());
+  EXPECT_EQ(nn::serialize_model(nn::kModelKindStallExitNet, caller.net().weights()),
+            caller_weights);
+}
+
 TEST(SnapshotResume, ExtendedHorizonMatchesLongerFullRun) {
   // Incremental-day experiment at the fleet layer: snapshot a 4-day fleet at
   // day 2, resume with a 6-day horizon; equal to a from-scratch 6-day run.
