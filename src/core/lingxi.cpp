@@ -123,7 +123,6 @@ LingXi::OptimizationRun::OptimizationRun(LingXi& owner, abr::AbrAlgorithm& abr,
       best_exit_(std::numeric_limits<double>::infinity()),
       best_params_(owner.current_params_),
       incumbent_exit_(std::numeric_limits<double>::infinity()) {
-  sequential_ = pool == nullptr && owner.config_.monte_carlo.batch_size <= 1;
   // OBO.init(x*, N, S, E_player): warm-start from the current parameters —
   // the previous optimum once one exists, the defaults otherwise. The warm
   // start is evaluated first, so on a flat exit-rate landscape the system
@@ -199,22 +198,6 @@ void LingXi::OptimizationRun::finish() {
 
 bool LingXi::OptimizationRun::step() {
   if (done_) return true;
-  if (sequential_) {
-    // No parking possible: run the whole candidate loop through the
-    // sequential whole-session rollout path (bitwise identical to the wave
-    // path, without its stepping overhead) and finish in one step.
-    while (round_ < rounds_) {
-      begin_candidate();
-      const sim::MonteCarloResult mc = evaluator_.evaluate_rollouts(
-          virtual_video_, *rollout_abr_, exit_eval_, *bandwidth_model_, current_buffer_,
-          prune_bound(), rng_);
-      rollout_abr_.reset();
-      finish_round(mc);
-      ++round_;
-    }
-    finish();
-    return true;
-  }
   if (pending_fit_) {
     // A driver that ignores fit parking keeps making progress: run the
     // parked fit inline, exactly where the un-parked path would have.

@@ -83,10 +83,10 @@ struct LingXiStats {
 class LingXi {
  public:
   /// `ladder` must match the videos served to this user. `predictor` is
-  /// BORROWED, not copied — forwards are pure in (weights, input) and LingXi
-  /// never mutates the net, so many users can share one predictor as long as
-  /// a single thread drives them (the fleet runner's per-worker clones).
-  /// The caller keeps it alive for the LingXi's lifetime; copying the
+  /// BORROWED, not copied — inference is const and pure in (weights, input)
+  /// and LingXi never mutates the net, so any number of users on any number
+  /// of threads can share one predictor (the fleet runner shares one per
+  /// run). The caller keeps it alive for the LingXi's lifetime; copying the
   /// ~MB-scale net per user was the dominant cost of (re)building per-user
   /// state whenever chained legs or churn re-created user slots.
   LingXi(LingXiConfig config, const predictor::HybridExitPredictor& predictor,
@@ -111,8 +111,10 @@ class LingXi {
   /// scheduler can interleave many users' optimizations and pool their
   /// predictor flushes. step() advances the candidate loop until every live
   /// Monte Carlo rollout has parked an exit query (returns false — with a
-  /// pool, the caller must flush it before the next step()) or the round is
-  /// complete (returns true; the ABR carries the final parameters).
+  /// pool, the caller must flush it before the next step(); without one,
+  /// the next step() flushes the wave itself) or the round is complete
+  /// (returns true; the ABR carries the final parameters). Every round runs
+  /// as a sim::RolloutWave; batch_size 1 is a width-1 wave.
   /// Driving a run to completion is bitwise identical to maybe_optimize()
   /// regardless of how steps interleave with other users' runs.
   class OptimizationRun {
@@ -151,7 +153,8 @@ class LingXi {
     void finish_round(const sim::MonteCarloResult& mc);
     void finish();
 
-    /// Candidate-draw half of a round (shared by both execution paths).
+    /// Candidate-draw half of a round: the next OBO (or fixed) candidate and
+    /// the rollout ABR prototype carrying it.
     void begin_candidate();
     double prune_bound() const noexcept;
 
@@ -159,10 +162,6 @@ class LingXi {
     abr::AbrAlgorithm& abr_;
     Rng& rng_;
     Seconds current_buffer_;
-    /// Un-pooled batch<=1 runs keep the sequential whole-session rollout
-    /// path (no parking machinery): step() completes in one call. Pooled
-    /// runs always use waves so even single-rollout queries cross users.
-    bool sequential_;
     sim::MonteCarloEvaluator evaluator_;
     trace::Video virtual_video_;
     std::unique_ptr<trace::BandwidthModel> bandwidth_model_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -367,6 +368,25 @@ DenseIsa set_dense_isa_for_testing(DenseIsa isa) noexcept {
   const DenseIsa got = clamp_to_supported(isa);
   g_dense_isa.store(static_cast<int>(got), std::memory_order_relaxed);
   return got;
+}
+
+void Dense::forward_sparse_row(const double* in, double* out,
+                              std::vector<std::uint32_t>& active) const {
+  active.clear();
+  for (std::size_t i = 0; i < in_; ++i) {
+    if (in[i] != 0.0) active.push_back(static_cast<std::uint32_t>(i));
+  }
+  for (std::size_t o = 0; o < out_; ++o) {
+    const double* wrow = w_.data() + o * in_;
+    double acc = b_[o];
+    for (const std::uint32_t i : active) acc += wrow[i] * in[i];
+    if (acc == 0.0) {
+      // Only the sign of a zero can differ from forward(): take its chain.
+      acc = b_[o];
+      for (std::size_t i = 0; i < in_; ++i) acc += wrow[i] * in[i];
+    }
+    out[o] = acc;
+  }
 }
 
 void Dense::forward_batch(ConstBatchView in, BatchView out) const {

@@ -1,6 +1,9 @@
 // Fully connected layer: y = W x + b.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "nn/layer.h"
 
 namespace lingxi::nn {
@@ -52,6 +55,19 @@ class Dense final : public Layer {
   /// each output row bitwise identical to the scalar path. Inference only:
   /// does not touch the backward() caches, safe on a const layer.
   void forward_batch(ConstBatchView in, BatchView out) const;
+
+  /// One input row as one scalar chain per output over the row's non-zero
+  /// inputs (the indices are staged in `active`, reused across calls). Post-
+  /// ReLU rows are mostly zeros, so this reads a fraction of the weights at
+  /// a rate a latency-bound chain sets: its cost tracks the row, not whether
+  /// another core's traffic has pushed the weights out of L2, which swings
+  /// the vector kernels' cost by up to 2.5x on a shared host. Bitwise identical to forward()
+  /// for finite weights: a skipped term w * 0 is a signed zero, and adding
+  /// one leaves a sum unchanged except that -0 + +0 is +0, so an output that
+  /// ends at zero is recomputed over every input. Inference only, like
+  /// forward_batch.
+  void forward_sparse_row(const double* in, double* out,
+                          std::vector<std::uint32_t>& active) const;
 
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }
   std::vector<Tensor*> gradients() override { return {&gw_, &gb_}; }

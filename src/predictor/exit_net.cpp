@@ -61,7 +61,19 @@ double StallExitNet::predict(const nn::Tensor& features) {
 
 void StallExitNet::predict_batch(nn::ConstBatchView features, double* out,
                                  BatchWorkspace* ws) const {
+  forward_rows(features, out, ws, false);
+}
+
+double StallExitNet::predict_row(const double* features, BatchWorkspace* ws) const {
+  double out = 0.0;
+  forward_rows({features, 1, kChannels * kHistoryLen}, &out, ws, true);
+  return out;
+}
+
+void StallExitNet::forward_rows(nn::ConstBatchView features, double* out, BatchWorkspace* ws,
+                                bool sparse_fc1) const {
   if (features.rows == 0) return;
+  LINGXI_DASSERT(!sparse_fc1 || features.rows == 1);
   LINGXI_ASSERT(features.cols == kChannels * kHistoryLen);
   BatchWorkspace local;
   BatchWorkspace& w = ws != nullptr ? *ws : local;
@@ -86,7 +98,11 @@ void StallExitNet::predict_batch(nn::ConstBatchView features, double* out,
 
   const nn::BatchView merged(w.merged.data(), batch, kMergedSize);
   const nn::BatchView hidden(w.hidden.data(), batch, kFc1Size);
-  fc1_.forward_batch(merged, hidden);
+  if (sparse_fc1) {
+    fc1_.forward_sparse_row(merged.row(0), hidden.row(0), w.active);
+  } else {
+    fc1_.forward_batch(merged, hidden);
+  }
   nn::relu_rows(hidden);
   const nn::BatchView logit_rows(w.logits.data(), batch, 2);
   fc2_.forward_batch(hidden, logit_rows);

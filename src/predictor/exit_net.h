@@ -7,6 +7,7 @@
 // [P(continue), P(exit)].
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "nn/activations.h"
@@ -21,9 +22,12 @@ class StallExitNet {
  public:
   explicit StallExitNet(Rng& rng);
 
-  /// P(exit) for a 5x8 feature tensor.
+  /// P(exit) for a 5x8 feature tensor — the training forward: it allocates
+  /// per layer and writes the caches backward() reads. Inference goes
+  /// through predict_batch / predict_row; this stays for training and as
+  /// their test oracle.
   double predict(const nn::Tensor& features);
-  /// Raw logits [continue, exit].
+  /// Raw logits [continue, exit] (training forward).
   nn::Tensor logits(const nn::Tensor& features);
 
   /// Reusable scratch for predict_batch: the merged / hidden / logit
@@ -33,6 +37,7 @@ class StallExitNet {
     std::vector<double> merged;
     std::vector<double> hidden;
     std::vector<double> logits;
+    std::vector<std::uint32_t> active;  ///< predict_row's non-zero fc1 inputs
   };
 
   /// Batched P(exit): each row of `features` is one 5x8 feature matrix
@@ -44,6 +49,13 @@ class StallExitNet {
   /// across rollouts. `ws` may be null; passing one amortizes scratch.
   void predict_batch(nn::ConstBatchView features, double* out,
                      BatchWorkspace* ws = nullptr) const;
+  /// P(exit) for one flattened feature matrix, bitwise identical to
+  /// predict_batch on that row, with fc1 as nn::Dense::forward_sparse_row:
+  /// about half the vector kernel's best speed, but its cost stays put when
+  /// the weights drop out of L2, where the vector kernel's swings 2.5x. For
+  /// callers that run one query at a time and want each to cost the same
+  /// (the per-user loop); batches keep predict_batch.
+  double predict_row(const double* features, BatchWorkspace* ws = nullptr) const;
   /// Backprop a gradient w.r.t. logits (accumulates parameter grads).
   void backward(const nn::Tensor& grad_logits);
 
@@ -56,6 +68,10 @@ class StallExitNet {
   bool load_weights(const std::vector<nn::Tensor>& tensors);
 
  private:
+  /// predict_batch body; `sparse_fc1` (one row only) takes predict_row's fc1.
+  void forward_rows(nn::ConstBatchView features, double* out, BatchWorkspace* ws,
+                    bool sparse_fc1) const;
+
   std::vector<nn::Conv1D> branches_;  // one per input channel
   std::vector<nn::ReLU> branch_relu_;
   nn::Dense fc1_;

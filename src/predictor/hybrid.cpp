@@ -25,21 +25,19 @@ HybridExitPredictor HybridExitPredictor::with_private_net() const {
   return {std::make_shared<StallExitNet>(*net_), os_model_, config_};
 }
 
-namespace {
-/// Sub-perceptual stalls skip the personalized stall term entirely.
-constexpr Seconds kNnStallThreshold = 0.05;
-}  // namespace
-
 double HybridExitPredictor::predict(const EngagementState& state,
                                     const sim::SegmentRecord& segment, SwitchType sw) const {
   return predict(ExitQuery{&state, segment.level, segment.stall_time, sw});
 }
 
-double HybridExitPredictor::predict(const ExitQuery& query) const {
-  const double os = os_model_->predict(query.level, query.sw);
-  if (query.stall_time <= kNnStallThreshold) return std::clamp(os, 0.0, 1.0);
-  const double nn_term = net_->predict(query.state->features());
-  return combine(*query.state, nn_term, os);
+double HybridExitPredictor::predict(const ExitQuery& query, BatchScratch* scratch) const {
+  if (query.stall_time <= kNnStallThreshold) {
+    return std::clamp(os_model_->predict(query.level, query.sw), 0.0, 1.0);
+  }
+  double features[kChannels * kHistoryLen];
+  query.state->write_features(features);
+  return finish_stalled(query,
+                        net_->predict_row(features, scratch != nullptr ? &scratch->net : nullptr));
 }
 
 double HybridExitPredictor::finish_stalled(const ExitQuery& query, double nn_term) const {
@@ -137,7 +135,7 @@ bool BatchPredictorExitEvaluator::prepare(sim::ExitModel& model,
   // Safe: the contract restricts `model` to our make_model() instances.
   auto& exit_model = static_cast<PredictorExitModel&>(model);
   const HybridExitPredictor::ExitQuery query = exit_model.prepare(segment);
-  if (query.stall_time <= kNnStallThreshold) {
+  if (query.stall_time <= HybridExitPredictor::kNnStallThreshold) {
     out = predictor_.predict(query);  // OS-only path, no net forward
     return true;
   }
@@ -163,7 +161,12 @@ std::size_t BatchPredictorExitEvaluator::flush(double* out) const {
   // The parked queries' state pointers stay valid until their rollouts
   // resolve — parked rollouts do not advance before the flush.
   const std::size_t count = scratch_.queries.size();
-  predictor_.predict_batch(count, scratch_.queries.data(), out, &scratch_);
+  if (count == 1) {
+    // A width-1 wave (the per-user loop): the steady single-row forward.
+    out[0] = predictor_.predict(scratch_.queries[0], &scratch_);
+  } else {
+    predictor_.predict_batch(count, scratch_.queries.data(), out, &scratch_);
+  }
   scratch_.queries.clear();
   return count;
 }
@@ -257,7 +260,7 @@ void ExitQueryPool::flush() {
     features_.resize(group.members.size() * kFeatureLen);
     for (std::size_t j = 0; j < group.members.size(); ++j) {
       const Entry& entry = pending_[group.members[j]];
-      LINGXI_DASSERT(entry.query.stall_time > kNnStallThreshold);
+      LINGXI_DASSERT(entry.query.stall_time > HybridExitPredictor::kNnStallThreshold);
       entry.query.state->write_features(features_.data() + j * kFeatureLen);
     }
     nn_terms_.resize(group.members.size());

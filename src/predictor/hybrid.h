@@ -18,6 +18,10 @@
 
 namespace lingxi::predictor {
 
+/// Every const member is inference only: it reads weights and never writes
+/// layer caches, so one predictor (and its net) may serve any number of
+/// threads at once. Only training through the non-const net() mutates the
+/// net.
 class HybridExitPredictor {
  public:
   struct Config {
@@ -58,12 +62,21 @@ class HybridExitPredictor {
     std::vector<std::size_t> stalled;
   };
 
+  /// Segments stalled for at most this long skip the personalized stall
+  /// term: R_exit is the OS term alone and no net forward runs.
+  static constexpr Seconds kNnStallThreshold = 0.05;
+
   /// R_exit for the segment just downloaded. `state` must already include
   /// this segment (EngagementState::on_segment called).
   double predict(const EngagementState& state, const sim::SegmentRecord& segment,
                  SwitchType sw) const;
-  /// predict() in query form — the shared scalar implementation.
-  double predict(const ExitQuery& query) const;
+  /// predict() in query form: the OS term alone for an unstalled segment,
+  /// otherwise StallExitNet::predict_row through the same OS lookup and
+  /// blend — bitwise identical to a 1-row predict_batch, at a cost that does
+  /// not swing with cache residency. `scratch` may be null; passing one
+  /// amortizes the net's buffers. Batches of queries should call
+  /// predict_batch directly with a reused BatchScratch.
+  double predict(const ExitQuery& query, BatchScratch* scratch = nullptr) const;
   /// Finish a stalled query given its net output — the per-query tail of
   /// predict_batch (OS lookup + blend), bitwise identical to it. Exposed so
   /// ExitQueryPool can batch net forwards across predictors that share a net
@@ -71,8 +84,10 @@ class HybridExitPredictor {
   double finish_stalled(const ExitQuery& query, double nn_term) const;
   /// Batched predict over `count` queries: the stalled queries' features are
   /// gathered into one matrix and their net forwards run as a single
-  /// StallExitNet::predict_batch call. Bitwise identical per item to
-  /// predict(). `scratch` may be null; passing one amortizes buffers.
+  /// StallExitNet::predict_batch call. Each row is bitwise identical to the
+  /// training forward (StallExitNet::predict) passed through the same OS
+  /// lookup and blend, whatever the batch's size or order. `scratch` may be
+  /// null; passing one amortizes buffers.
   void predict_batch(std::size_t count, const ExitQuery* queries, double* out,
                      BatchScratch* scratch = nullptr) const;
 
@@ -80,10 +95,10 @@ class HybridExitPredictor {
   const StallExitNet& net() const { return *net_; }
   const OverallStatsModel& os_model() const { return *os_model_; }
 
-  /// Copy of this predictor whose net is deep-copied instead of shared.
-  /// predict() runs forward passes that cache per-layer activations, so a
-  /// shared net must not be used from multiple threads; fleet workers take a
-  /// private copy per user (the OS model stays shared — it is const here).
+  /// Copy of this predictor whose net is deep-copied instead of shared (the
+  /// OS model stays shared — it is const here). Inference never needs one;
+  /// take a private net before mutating weights that others may be reading
+  /// (snapshot::resume_predictor_factory loads snapshot weights into one).
   HybridExitPredictor with_private_net() const;
 
  private:
@@ -212,7 +227,10 @@ class ExitQueryPool {
 /// per step. Two flush scopes:
 ///   * standalone (pool == nullptr): parked queries stay in the evaluator
 ///     and flush() computes the batch itself — one flush per wave of one
-///     evaluation (the per-optimization batching baseline);
+///     evaluation (the per-optimization batching baseline). A lone query
+///     (every flush of a width-1 wave, the per-user loop) runs predict(),
+///     whose single-row forward costs the same whatever else shares the
+///     core's caches;
 ///   * pooled: parked queries go to a shared ExitQueryPool under the
 ///     (user, rollout, segment) key, the pool owner flushes once per
 ///     scheduler wave across ALL users' evaluations, and flush() here just

@@ -341,12 +341,24 @@ FleetAccumulator FleetRunner::run_days(std::uint64_t seed, std::size_t first_day
     sampler.sample_at(day_facts(b, config_.users, leg_merged), now_us);
   };
 
+  // One predictor serves every leg, worker, shard and user of the run.
+  // Inference is const and writes no layer caches, so sharing the factory's
+  // net across threads is race-free and bitwise invisible.
+  std::optional<predictor::HybridExitPredictor> run_predictor;
+  if (config_.enable_lingxi && config_.users > 0) {
+    LINGXI_ASSERT(predictor_factory_ != nullptr);
+    run_predictor.emplace(predictor_factory_());
+  }
+  const predictor::HybridExitPredictor* shared_predictor =
+      run_predictor ? &*run_predictor : nullptr;
+
   const std::size_t step = hook_armed ? k : 0;
   if (step == 0 || last_day - first_day <= step) {
     const FleetAccumulator base =
         resume != nullptr ? resume->accumulated : FleetAccumulator{};
-    const FleetAccumulator acc = run_days_leg(seed, first_day, last_day, resume,
-                                              out_state, stats, nullptr, day_totals_ptr);
+    const FleetAccumulator acc =
+        run_days_leg(seed, first_day, last_day, resume, out_state, stats, shared_predictor,
+                     day_totals_ptr);
     emit_leg_days(first_day, last_day, base, acc);
     return acc;
   }
@@ -354,19 +366,6 @@ FleetAccumulator FleetRunner::run_days(std::uint64_t seed, std::size_t first_day
   // on the checkpoint cadence (every k days from first_day) to the hook and
   // every leg's days to the sampler.
   if (stats != nullptr) *stats = FleetRunStats{};
-  // Clone the per-worker private-net predictors ONCE for the whole chain.
-  // Each clone is driven by exactly one worker thread per leg and forwards
-  // are pure in (weights, input), so reuse across legs is bitwise invisible
-  // — re-cloning per leg was pure per-leg fixed cost.
-  std::vector<predictor::HybridExitPredictor> worker_predictors;
-  if (config_.enable_lingxi && config_.users > 0) {
-    LINGXI_ASSERT(predictor_factory_ != nullptr);
-    const std::size_t pool = worker_pool_size();
-    worker_predictors.reserve(pool);
-    for (std::size_t t = 0; t < pool; ++t) {
-      worker_predictors.emplace_back(predictor_factory_().with_private_net());
-    }
-  }
   FleetDayState boundary;
   const FleetDayState* leg_resume = resume;
   std::size_t leg_first = first_day;
@@ -376,9 +375,7 @@ FleetAccumulator FleetRunner::run_days(std::uint64_t seed, std::size_t first_day
   for (std::size_t b = first_day + step; b < last_day; b += step) {
     FleetDayState next;
     run_days_leg(seed, leg_first, b, leg_resume, &next,
-                 stats != nullptr ? &leg_stats : nullptr,
-                 worker_predictors.empty() ? nullptr : &worker_predictors,
-                 day_totals_ptr);
+                 stats != nullptr ? &leg_stats : nullptr, shared_predictor, day_totals_ptr);
     if (stats != nullptr) stats->merge(leg_stats);
     if (hook_armed && (b - first_day) % k == 0) checkpoint_hook_(next);
     emit_leg_days(leg_first, b, leg_base, next.accumulated);
@@ -389,27 +386,16 @@ FleetAccumulator FleetRunner::run_days(std::uint64_t seed, std::size_t first_day
   }
   const FleetAccumulator merged =
       run_days_leg(seed, leg_first, last_day, leg_resume, out_state,
-                   stats != nullptr ? &leg_stats : nullptr,
-                   worker_predictors.empty() ? nullptr : &worker_predictors,
-                   day_totals_ptr);
+                   stats != nullptr ? &leg_stats : nullptr, shared_predictor, day_totals_ptr);
   if (stats != nullptr) stats->merge(leg_stats);
   emit_leg_days(leg_first, last_day, leg_base, merged);
   return merged;
 }
 
-std::size_t FleetRunner::worker_pool_size() const noexcept {
-  const std::size_t shard_count =
-      (config_.users + config_.users_per_shard - 1) / config_.users_per_shard;
-  std::size_t pool = config_.threads != 0
-                         ? config_.threads
-                         : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  return std::min(pool, shard_count);
-}
-
 FleetAccumulator FleetRunner::run_days_leg(
     std::uint64_t seed, std::size_t first_day, std::size_t last_day,
     const FleetDayState* resume, FleetDayState* out_state, FleetRunStats* stats,
-    std::vector<predictor::HybridExitPredictor>* worker_predictors,
+    const predictor::HybridExitPredictor* predictor,
     std::vector<FleetAccumulator>* day_totals) const {
   LINGXI_ASSERT(first_day < last_day && last_day <= config_.days);
   // Resuming mid-calendar requires the matching day-boundary state; a fresh
@@ -438,6 +424,7 @@ FleetAccumulator FleetRunner::run_days_leg(
     if (out_state != nullptr) out_state->accumulated = merged;
     return merged;
   }
+  LINGXI_ASSERT(!config_.enable_lingxi || predictor != nullptr);
 
   // Immutable config-derived context, built once and read concurrently by
   // every worker instead of being reconstructed per user.
@@ -461,30 +448,11 @@ FleetAccumulator FleetRunner::run_days_leg(
   }
 
   std::atomic<std::size_t> next_shard{0};
-  const auto worker = [&](std::size_t slot) {
+  const auto worker = [&] {
     // One fit pool per worker, shared across its shards, so the fit workers
     // are spawned once per leg rather than once per shard. A zero-worker
     // pool runs the fits inline on this thread.
     OptimizerPool fit_pool(config_.optimizer_threads);
-    // One private-net predictor per worker, shared by every shard it
-    // processes. Forward passes are pure in (weights, input) and weights
-    // never change during a run, so sharing within the single driving
-    // thread is bitwise invisible; cloning per shard only protected against
-    // cross-THREAD cache races, and the clone is ~ms-scale (the fc1 weight
-    // matrix) — a fixed cost every leg would otherwise pay. Checkpoint-chained
-    // runs hoist further: run_days pre-clones one predictor per worker slot
-    // and every leg reuses them through `worker_predictors`.
-    std::optional<predictor::HybridExitPredictor> local_predictor;
-    const predictor::HybridExitPredictor* worker_predictor = nullptr;
-    if (config_.enable_lingxi) {
-      LINGXI_ASSERT(predictor_factory_ != nullptr);
-      if (worker_predictors != nullptr) {
-        worker_predictor = &(*worker_predictors)[slot];
-      } else {
-        local_predictor.emplace(predictor_factory_().with_private_net());
-        worker_predictor = &*local_predictor;
-      }
-    }
     for (;;) {
       const std::size_t shard = next_shard.fetch_add(1, std::memory_order_relaxed);
       if (shard >= shard_count) return;
@@ -492,21 +460,25 @@ FleetAccumulator FleetRunner::run_days_leg(
       const std::size_t last = std::min(first + config_.users_per_shard, config_.users);
       ShardScheduler scheduler(
           *this, world, seed, first, last, shards[shard], first_day, last_day,
-          resume, out_state, &fit_pool, worker_predictor,
+          resume, out_state, &fit_pool, predictor,
           day_totals != nullptr ? &shard_day_totals[shard * leg_days] : nullptr);
       scheduler.run();
       shard_stats[shard] = scheduler.stats();
     }
   };
 
-  const std::size_t pool = worker_pool_size();
-  LINGXI_ASSERT(worker_predictors == nullptr || worker_predictors->size() >= pool);
+  // Worker pool: the configured thread count (0 = hardware concurrency),
+  // capped by the shard count.
+  const std::size_t pool = std::min(
+      config_.threads != 0 ? config_.threads
+                           : std::max<std::size_t>(1, std::thread::hardware_concurrency()),
+      shard_count);
   if (pool <= 1) {
-    worker(0);
+    worker();
   } else {
     std::vector<std::thread> threads;
     threads.reserve(pool);
-    for (std::size_t t = 0; t < pool; ++t) threads.emplace_back(worker, t);
+    for (std::size_t t = 0; t < pool; ++t) threads.emplace_back(worker);
     for (auto& t : threads) t.join();
   }
 
@@ -666,11 +638,11 @@ class ShardScheduler::UserTask {
 
     if (cfg_.enable_lingxi) {
       LINGXI_ASSERT(shard_predictor_ != nullptr);
-      // The shard's users BORROW the worker's private net copy (LingXi never
-      // mutates it): forwards are pure per row and the shard runs on one
-      // worker, so sharing is bitwise invisible — and not copying the net
-      // per user keeps identity (re)builds cheap when the checkpoint cadence
-      // chains legs or churn rolls a slot over.
+      // Every user BORROWS the run's predictor (LingXi never mutates it):
+      // inference is const and pure per row, so sharing is bitwise
+      // invisible — and not copying the net per user keeps identity
+      // (re)builds cheap when the checkpoint cadence chains legs or churn
+      // rolls a slot over.
       lingxi_ = std::make_unique<core::LingXi>(cfg_.lingxi, *shard_predictor_,
                                                cfg_.video.ladder);
     }
@@ -898,7 +870,7 @@ ShardScheduler::ShardScheduler(const FleetRunner& runner, const FleetWorld& worl
                                std::size_t first_day, std::size_t last_day,
                                const FleetDayState* resume, FleetDayState* out_state,
                                OptimizerPool* fit_pool,
-                               const predictor::HybridExitPredictor* worker_predictor,
+                               const predictor::HybridExitPredictor* predictor,
                                FleetAccumulator* day_totals)
     : runner_(runner),
       world_(world),
@@ -912,10 +884,11 @@ ShardScheduler::ShardScheduler(const FleetRunner& runner, const FleetWorld& worl
       out_state_(out_state),
       pool_(std::make_unique<predictor::ExitQueryPool>()),
       fit_pool_(fit_pool),
-      worker_predictor_(worker_predictor),
+      predictor_(predictor),
       day_totals_(day_totals) {
   LINGXI_ASSERT(first_user_ <= last_user_);
   LINGXI_ASSERT(first_day_ < last_day_);
+  LINGXI_ASSERT(!runner_.config().enable_lingxi || predictor_ != nullptr);
 }
 
 ShardScheduler::~ShardScheduler() = default;
@@ -929,28 +902,13 @@ void ShardScheduler::run() {
 }
 
 void ShardScheduler::run_per_user() {
-  const FleetConfig& cfg = runner_.config();
   // Batches stay scoped to one optimization: a single task is in flight, so
-  // every pooled flush holds exactly one wave of one user's rollouts. With
-  // batch <= 1 the pool is withheld entirely so optimizations keep the
-  // sequential rollout fast path (nothing to batch anyway).
-  predictor::ExitQueryPool* pool =
-      cfg.lingxi.monte_carlo.batch_size > 1 ? pool_.get() : nullptr;
-  // The worker's private-net predictor serves every user (forwards are pure
-  // and this thread is the only one touching the net's layer caches); the
-  // clone-per-user fallback covers direct ShardScheduler construction.
-  std::optional<predictor::HybridExitPredictor> fallback_predictor;
-  if (cfg.enable_lingxi && worker_predictor_ == nullptr) {
-    LINGXI_ASSERT(runner_.predictor_factory_ != nullptr);
-    fallback_predictor.emplace(runner_.predictor_factory_().with_private_net());
-  }
-  const predictor::HybridExitPredictor* predictor =
-      worker_predictor_ != nullptr ? worker_predictor_
-                                   : (fallback_predictor ? &*fallback_predictor : nullptr);
+  // every pooled flush holds exactly one wave of one user's rollouts (one
+  // query per flush at batch 1). The task parks only on the pool, so every
+  // flush below has queries to evaluate.
   for (std::size_t u = first_user_; u < last_user_; ++u) {
-    UserTask task(runner_, world_, seed_, u, acc_, cfg.enable_lingxi ? predictor : nullptr,
-                  pool, first_day_, last_day_,
-                  resume_ != nullptr ? &resume_->users[u] : nullptr,
+    UserTask task(runner_, world_, seed_, u, acc_, predictor_, pool_.get(), first_day_,
+                  last_day_, resume_ != nullptr ? &resume_->users[u] : nullptr,
                   /*park_fits=*/false, day_totals_);
     while (!task.step()) {
       OBS_SPAN("wave.flush");
@@ -962,26 +920,15 @@ void ShardScheduler::run_per_user() {
 }
 
 void ShardScheduler::run_cohort() {
-  // The worker's deep-copied predictor, shared by the shard's users (each
-  // user's LingXi copies the handle, not the net) — see
-  // set_predictor_factory for why sharing is bitwise invisible. The
-  // clone-per-shard fallback covers direct ShardScheduler construction.
-  std::optional<predictor::HybridExitPredictor> fallback_predictor;
-  if (runner_.config().enable_lingxi && worker_predictor_ == nullptr) {
-    LINGXI_ASSERT(runner_.predictor_factory_ != nullptr);
-    fallback_predictor.emplace(runner_.predictor_factory_().with_private_net());
-  }
-  const predictor::HybridExitPredictor* shard_predictor =
-      worker_predictor_ != nullptr ? worker_predictor_
-                                   : (fallback_predictor ? &*fallback_predictor : nullptr);
+  // The shard's users share the run's predictor (each user's LingXi borrows
+  // it), so one pooled flush evaluates the whole shard as one net sub-batch.
   std::vector<std::unique_ptr<UserTask>> tasks;
   tasks.reserve(last_user_ - first_user_);
   for (std::size_t u = first_user_; u < last_user_; ++u) {
     tasks.push_back(std::make_unique<UserTask>(
-        runner_, world_, seed_, u, acc_,
-        runner_.config().enable_lingxi ? shard_predictor : nullptr, pool_.get(),
-        first_day_, last_day_, resume_ != nullptr ? &resume_->users[u] : nullptr,
-        /*park_fits=*/true, day_totals_));
+        runner_, world_, seed_, u, acc_, predictor_, pool_.get(), first_day_, last_day_,
+        resume_ != nullptr ? &resume_->users[u] : nullptr, /*park_fits=*/true,
+        day_totals_));
   }
 
   // Live tasks in ascending user order. Each wave steps every live task

@@ -232,12 +232,12 @@ struct FleetConfig {
   std::size_t intervention_day = 0;
   /// Day-to-day tolerance drift for data-driven users (§2.3).
   bool drift_user_tolerance = false;
-  /// Batched-inference knob: lockstep batch size for LingXi's Monte Carlo
-  /// rollouts — per optimization, up to this many candidate sessions advance
-  /// together and their predictor forwards run as one batch. 0 keeps
-  /// `lingxi.monte_carlo.batch_size` as configured; any value yields a
-  /// bitwise-identical fleet checksum (the scalar/batched parity contract,
-  /// asserted by tests/test_properties.cpp).
+  /// Batched-inference knob: wave width for LingXi's Monte Carlo rollouts —
+  /// per optimization, up to this many candidate sessions advance together
+  /// and their predictor forwards run as one batch (1 = one rollout at a
+  /// time, 1-row forwards). 0 keeps `lingxi.monte_carlo.batch_size` as
+  /// configured; any value yields a bitwise-identical fleet checksum
+  /// (asserted by tests/test_properties.cpp).
   std::size_t predictor_batch = 0;
   /// Extra worker threads (per shard worker) for the round-boundary
   /// optimizer fits — GP observe plus the next acquisition sweep — that
@@ -293,19 +293,16 @@ class FleetRunner {
   /// churn it is re-invoked per generation with a fresh generation-derived
   /// rng (an index-only factory therefore rebuilds identical users).
   void set_user_factory(UserFactory factory);
-  /// Required when `config.enable_lingxi`. Invoked from worker threads —
-  /// once per user (kPerUser) or once per shard (kCohortWaves); the returned
-  /// predictor's net is deep-copied before use, so a factory handing out a
-  /// shared net is safe. Under kCohortWaves the shard's users share the
-  /// deep copy: batched forwards are const and pure per row, and one shard
-  /// is driven by one worker, so sharing changes no result bit while
-  /// letting one flush serve the whole shard as a single net sub-batch.
-  /// Because the invocation count depends on the schedule, the factory must
-  /// be pure configuration: every call must return an equivalent predictor
-  /// (same weights, same OS model, same blend config). A factory whose
-  /// output varies call to call (e.g. an rng advanced across calls) would
-  /// silently void the "results identical for any scheduler / shard size"
-  /// contract.
+  /// Required when `config.enable_lingxi`. Invoked once per run_days()
+  /// call, on the calling thread; every worker, shard and user of the run
+  /// shares the returned predictor and its net. That is safe because
+  /// inference is const (no layer caches are written) and pure per row, so
+  /// sharing changes no result bit while letting one flush serve a whole
+  /// shard as a single net sub-batch. The net must not be trained while a
+  /// run reads it. The factory must be pure configuration: every call must
+  /// return an equivalent predictor (same weights, same OS model, same blend
+  /// config), or runs split across run_days() calls (snapshot/resume) would
+  /// silently diverge from an unsplit run.
   void set_predictor_factory(PredictorFactory factory);
 
   /// Optional capture plane (telemetry/sink.h): the sink observes every
@@ -366,10 +363,8 @@ class FleetRunner {
   friend class ShardScheduler;
 
   /// One contiguous leg (the pre-hook run_days body); run_days() chains legs
-  /// through it when the checkpoint hook is armed. `worker_predictors`, when
-  /// non-null, supplies one pre-cloned private-net predictor per worker slot
-  /// (size >= the worker pool) so chained legs reuse the clones instead of
-  /// re-deriving them per leg; null keeps the per-leg clone (single-leg runs).
+  /// through it when the checkpoint hook is armed. `predictor` is the run's
+  /// shared predictor (non-null iff LingXi is enabled and users > 0).
   /// `day_totals`, when non-null, receives (last_day - first_day) fleet-wide
   /// per-day accumulators (merged across shards in fixed shard order): slot i
   /// holds exactly the tallies attributed to day first_day + i, so
@@ -379,12 +374,8 @@ class FleetRunner {
   FleetAccumulator run_days_leg(
       std::uint64_t seed, std::size_t first_day, std::size_t last_day,
       const FleetDayState* resume, FleetDayState* out_state, FleetRunStats* stats,
-      std::vector<predictor::HybridExitPredictor>* worker_predictors = nullptr,
-      std::vector<FleetAccumulator>* day_totals = nullptr) const;
-
-  /// Size of the leg worker pool for the current config (threads capped by
-  /// shard count); shared by run_days_leg and the run_days clone hoist.
-  std::size_t worker_pool_size() const noexcept;
+      const predictor::HybridExitPredictor* predictor,
+      std::vector<FleetAccumulator>* day_totals) const;
 
   FleetConfig config_;
   AbrFactory abr_factory_;
@@ -400,10 +391,8 @@ class FleetRunner {
 /// implementation of per-user simulation, so schedule parity is structural,
 /// not maintained by hand):
 ///
-///   * kPerUser: one task at a time, driven to completion; the predictor is
-///     deep-copied per user and flushes stay scoped to one optimization
-///     (with batch <= 1 the pool is withheld entirely, keeping the
-///     sequential rollout fast path);
+///   * kPerUser: one task at a time, driven to completion; flushes stay
+///     scoped to one optimization (one wave of one user's rollouts);
 ///   * kCohortWaves: every task advances in waves — live sessions simulate
 ///     inline, LingXi optimizations run until each Monte Carlo rollout
 ///     parks a stalled exit query in the shared ExitQueryPool, then the
@@ -424,12 +413,10 @@ class ShardScheduler {
   /// exports into; the scheduler touches only its own users' entries.
   /// `fit_pool`, when non-null, runs the cohort waves' parked optimizer
   /// fits (shared across the worker's shards; may be a zero-worker pool).
-  /// `worker_predictor`, when non-null, is the driving worker's private-net
-  /// predictor clone, shared by every shard (and user) the worker processes
-  /// instead of re-cloning the net per shard/user — forwards are pure
-  /// functions of (weights, input) and weights never change during a run,
-  /// so the sharing is bitwise invisible (the net's fc1 weight matrix makes
-  /// each clone ~ms-scale).
+  /// `predictor` is the run's shared predictor, borrowed by every user's
+  /// LingXi; required when LingXi is enabled. Inference is const and pure
+  /// per row, so sharing it across users, shards and threads is bitwise
+  /// invisible.
   /// `day_totals`, when non-null, points at (last_day - first_day)
   /// per-day accumulators for this shard: every tally banked into `acc` is
   /// also banked into the slot of the day it belongs to, so the health
@@ -440,7 +427,7 @@ class ShardScheduler {
                  std::size_t first_day, std::size_t last_day,
                  const FleetDayState* resume, FleetDayState* out_state,
                  OptimizerPool* fit_pool = nullptr,
-                 const predictor::HybridExitPredictor* worker_predictor = nullptr,
+                 const predictor::HybridExitPredictor* predictor = nullptr,
                  FleetAccumulator* day_totals = nullptr);
   ~ShardScheduler();
   ShardScheduler(const ShardScheduler&) = delete;
@@ -469,9 +456,8 @@ class ShardScheduler {
   FleetDayState* out_state_;
   std::unique_ptr<predictor::ExitQueryPool> pool_;
   OptimizerPool* fit_pool_;  ///< not owned; may be null (fits run inline)
-  /// Worker-owned private-net predictor; null falls back to per-shard /
-  /// per-user clones.
-  const predictor::HybridExitPredictor* worker_predictor_;
+  /// The run's shared predictor; null when LingXi is disabled.
+  const predictor::HybridExitPredictor* predictor_;
   /// Per-day accumulator slots for this shard (leg-relative, size
   /// last_day_ - first_day_); null when no per-day observation is wanted.
   FleetAccumulator* day_totals_;

@@ -13,8 +13,7 @@ namespace {
 /// Fold one completed rollout into `result` and apply the optimistic prune
 /// bound (every remaining sample watches the full virtual video and never
 /// exits); true when evaluation must stop. THE accumulation implementation,
-/// shared by the sequential path and RolloutWave so both prune at exactly
-/// the same rollout — the parity is structural, not maintained by hand.
+/// shared by evaluate() and RolloutWave so both prune by the same rule.
 bool fold_rollout(const MonteCarloConfig& mc, std::size_t max_segments_per_sample,
                   double best_known_exit_rate, const SessionResult& session,
                   MonteCarloResult& result) {
@@ -34,6 +33,14 @@ bool fold_rollout(const MonteCarloConfig& mc, std::size_t max_segments_per_sampl
     }
   }
   return false;
+}
+
+/// R_exit = exited_count / watched_count (0 when nothing was watched).
+void finish_result(MonteCarloResult& result) {
+  result.exit_rate = result.watched_count == 0
+                         ? 0.0
+                         : static_cast<double>(result.exited_count) /
+                               static_cast<double>(result.watched_count);
 }
 
 }  // namespace
@@ -71,29 +78,13 @@ MonteCarloResult MonteCarloEvaluator::evaluate(const trace::Video& virtual_video
   for (std::size_t m = 0; m < mc_config_.samples; ++m) {
     auto bw = bandwidth.clone();  // independent stochastic rollout
     const SessionResult session = sim.run(virtual_video, abr, *bw, &exit_model, rng);
-    result.watched_count += session.segments.size();
-    if (session.exited) ++result.exited_count;
-    ++result.samples_run;
-
-    if (mc_config_.enable_pruning && result.samples_run >= mc_config_.min_samples_before_prune &&
-        std::isfinite(best_known_exit_rate)) {
-      // Optimistic bound: every remaining sample watches the full virtual
-      // video and never exits.
-      const std::size_t remaining = mc_config_.samples - result.samples_run;
-      const double optimistic_watched = static_cast<double>(
-          result.watched_count + remaining * max_segments_per_sample);
-      const double lower_bound = static_cast<double>(result.exited_count) / optimistic_watched;
-      if (lower_bound > best_known_exit_rate) {
-        result.pruned = true;
-        break;
-      }
+    if (fold_rollout(mc_config_, max_segments_per_sample, best_known_exit_rate, session,
+                     result)) {
+      break;
     }
   }
 
-  result.exit_rate = result.watched_count == 0
-                         ? 0.0
-                         : static_cast<double>(result.exited_count) /
-                               static_cast<double>(result.watched_count);
+  finish_result(result);
   return result;
 }
 
@@ -101,51 +92,14 @@ MonteCarloResult MonteCarloEvaluator::evaluate_rollouts(
     const trace::Video& virtual_video, const abr::AbrAlgorithm& abr,
     const BatchExitEvaluator& exits, const trace::BandwidthModel& bandwidth,
     Seconds initial_buffer, double best_known_exit_rate, Rng& rng) const {
-  const std::size_t batch = std::max<std::size_t>(1, mc_config_.batch_size);
-  if (batch > 1) {
-    // Lockstep path: the resumable wave drives itself to completion here
-    // (its exits.flush() computes the parked batch directly); the cross-user
-    // scheduler drives the same class with flushes pooled across
-    // evaluations instead. The wave forks the per-rollout streams itself.
-    RolloutWave wave(*this, virtual_video, abr, exits, bandwidth, initial_buffer,
-                     best_known_exit_rate, rng);
-    while (!wave.step()) {
-    }
-    return wave.take_result();
+  // The resumable wave drives itself to completion here (its exits.flush()
+  // computes each parked batch directly); the cross-user scheduler drives
+  // the same class with flushes pooled across evaluations instead.
+  RolloutWave wave(*this, virtual_video, abr, exits, bandwidth, initial_buffer,
+                   best_known_exit_rate, rng);
+  while (!wave.step()) {
   }
-
-  SessionSimulator::Config cfg = session_config_;
-  cfg.player.startup_buffer = std::max(0.0, initial_buffer);
-  const SessionSimulator sim(cfg);
-
-  // Per-rollout rng streams, forked upfront so the caller's rng advances by
-  // exactly `samples` forks no matter how pruning truncates the run — the
-  // caller's subsequent draws (e.g. the next OBO candidate) must not depend
-  // on the batch size or the prune point.
-  std::vector<Rng> streams;
-  streams.reserve(mc_config_.samples);
-  for (std::size_t m = 0; m < mc_config_.samples; ++m) streams.push_back(rng.fork());
-
-  MonteCarloResult result;
-  const std::size_t max_segments_per_sample = virtual_video.segment_count();
-
-  for (std::size_t m = 0; m < mc_config_.samples; ++m) {
-    const auto rollout_abr = abr.clone();
-    const auto bw = bandwidth.clone();
-    const auto model = exits.make_model();
-    const SessionResult session =
-        sim.run(virtual_video, *rollout_abr, *bw, model.get(), streams[m]);
-    if (fold_rollout(mc_config_, max_segments_per_sample, best_known_exit_rate, session,
-                     result)) {
-      break;
-    }
-  }
-
-  result.exit_rate = result.watched_count == 0
-                         ? 0.0
-                         : static_cast<double>(result.exited_count) /
-                               static_cast<double>(result.watched_count);
-  return result;
+  return wave.take_result();
 }
 
 RolloutWave::RolloutWave(const MonteCarloEvaluator& evaluator,
@@ -190,10 +144,7 @@ void RolloutWave::start_chunk() {
 }
 
 void RolloutWave::finish() {
-  result_.exit_rate = result_.watched_count == 0
-                          ? 0.0
-                          : static_cast<double>(result_.exited_count) /
-                                static_cast<double>(result_.watched_count);
+  finish_result(result_);
   slots_.clear();
   finished_ = true;
 }
@@ -230,8 +181,8 @@ bool RolloutWave::step() {
     //
     // Completed rollouts fold into the result in rollout order as soon as
     // the prefix allows, so a prune fires at exactly the rollout it would
-    // under the sequential path — the in-flight tail is then abandoned, just
-    // as the sequential path never starts it.
+    // if rollouts ran one at a time — the in-flight tail is then abandoned,
+    // just as a width-1 wave never starts it.
     parked_.clear();
     for (std::size_t j = 0; j < slots_.size(); ++j) {
       Slot& slot = slots_[j];

@@ -27,10 +27,11 @@ struct MonteCarloConfig {
   Seconds sample_duration = 45.0;        ///< T_sample (mean online video length)
   bool enable_pruning = true;
   std::size_t min_samples_before_prune = 8;
-  /// Rollouts advanced in lockstep by evaluate_rollouts(), with the exit
-  /// predictor evaluated once per step as a batch across rollouts. 1 runs
-  /// the scalar reference path (whole sessions, one at a time). Results are
-  /// bitwise identical for every value — the parity suite asserts it.
+  /// Wave width: rollouts advanced in lockstep by evaluate_rollouts() /
+  /// RolloutWave, with the exit predictor evaluated once per step as a batch
+  /// across the wave. 1 runs the rollouts one at a time (a width-1 wave, one
+  /// 1-row forward per stalled segment). Results are bitwise identical for
+  /// every value — the parity suite asserts it.
   std::size_t batch_size = 1;
 };
 
@@ -58,17 +59,16 @@ class MonteCarloEvaluator {
   /// Like evaluate(), but with per-rollout isolation: every rollout gets its
   /// own rng stream (exactly `samples` forks are taken from `rng` upfront,
   /// regardless of pruning), its own clone of `abr` and `bandwidth`, and its
-  /// own exit model from `exits`. With batch_size == 1 the rollouts run as
-  /// whole sequential sessions — the scalar path; with batch_size > 1 they
-  /// advance in lockstep waves (SessionStepper) and the exit predictor is
-  /// evaluated once per step as a batch across the wave. Both paths return
-  /// bitwise-identical results and leave `rng` in the same state — the
-  /// contract behind the fleet's scalar/batched checksum identity. Pruning
-  /// follows the same per-rollout replay order in both modes; a lockstep
-  /// wave merely cannot stop mid-wave, so batching trades some pruned-away
-  /// work for batched forwards without changing any reported number. The
-  /// batched mode is a convenience driver over RolloutWave (below), which
-  /// also exposes the evaluation in resumable form.
+  /// own exit model from `exits`. Rollouts advance in lockstep waves of
+  /// batch_size (SessionStepper) and the exit predictor is evaluated once per
+  /// step as a batch across the wave. Every width returns bitwise-identical
+  /// results and leaves `rng` in the same state — the contract behind the
+  /// fleet's checksum identity across predictor_batch. Pruning follows the
+  /// per-rollout replay order at every width; a wave merely cannot stop
+  /// mid-wave, so wider waves trade some pruned-away work for batched
+  /// forwards without changing any reported number. A convenience driver
+  /// over RolloutWave (below), which exposes the evaluation in resumable
+  /// form.
   MonteCarloResult evaluate_rollouts(const trace::Video& virtual_video,
                                      const abr::AbrAlgorithm& abr,
                                      const BatchExitEvaluator& exits,
@@ -101,8 +101,9 @@ class MonteCarloEvaluator {
 ///
 /// Protocol: step() advances every live rollout until it either finishes or
 /// parks a query into `exits`, folds completed rollouts into the result in
-/// rollout order (pruning fires at exactly the rollout it would under the
-/// sequential path), and returns true when the evaluation is complete. When
+/// rollout order (pruning fires at exactly the rollout it would if the
+/// rollouts ran one at a time), and returns true when the evaluation is
+/// complete. When
 /// it returns false, at least one query is parked; the caller must make the
 /// parked probabilities available (either `exits` computes them itself on
 /// flush, or the caller flushes the shared ExitQueryPool the evaluator parks

@@ -676,8 +676,8 @@ sim::FleetRunner::PredictorFactory resume_predictor_factory(
   LINGXI_ASSERT(tensors.has_value());
   auto weights = std::make_shared<std::vector<nn::Tensor>>(std::move(*tensors));
   return [base = std::move(base), weights]() {
-    // base() may hand out a predictor sharing the caller's net, and every
-    // worker calls the factory at once: clone before overwriting weights.
+    // base() may hand out a predictor sharing the caller's net, which other
+    // runs or threads may be reading: clone before overwriting weights.
     predictor::HybridExitPredictor predictor = base().with_private_net();
     const bool loaded = predictor.net().load_weights(*weights);
     LINGXI_ASSERT(loaded);

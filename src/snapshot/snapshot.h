@@ -196,7 +196,7 @@ Status check_compatible(const FleetSnapshot& snapshot, const sim::FleetConfig& c
 /// between the saving and resuming processes. With an empty `net_model` the
 /// base factory is returned unchanged. Each predictor gets a private clone of
 /// the base predictor's net before the weights load, so the caller's model
-/// is never written (workers call the factory concurrently). The blob must
+/// is never written (it may be serving other runs at the time). The blob must
 /// have been validated (load_snapshot does); weight/shape mismatches are a
 /// contract violation.
 sim::FleetRunner::PredictorFactory resume_predictor_factory(

@@ -2,13 +2,20 @@
 // candidate mode and state persistence.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "abr/hyb.h"
 #include "common/rng.h"
 #include "core/lingxi.h"
 #include "predictor/exit_net.h"
 #include "predictor/os_model.h"
+#include "sim/session.h"
+#include "trace/population.h"
+#include "trace/video.h"
+#include "user/data_driven.h"
 
 namespace lingxi::core {
 namespace {
@@ -221,6 +228,70 @@ TEST(LingXi, StallSensitiveUserGetsLowerBeta) {
   // Not a strict inequality in every seed, but both must be in the box.
   EXPECT_GE(beta_sensitive, cfg.space.beta_min);
   EXPECT_LE(beta_tolerant, cfg.space.beta_max);
+}
+
+// ---------------------------------------------------------------------------
+// Golden trail of the batch-1, pool-free per-user loop (the controller
+// shape: maybe_optimize after every live session). The expected words were
+// recorded from the sequential whole-session rollout engine with the
+// training forward, which batch 1 ran until every Monte Carlo evaluation
+// became a RolloutWave; a width-1 wave on the inference forward must
+// reproduce them bit for bit.
+// ---------------------------------------------------------------------------
+
+/// One stall-sensitive user on a ~700 kbps link, library-default LingXiConfig
+/// (32 samples, 8 OBO rounds, batch 1, stall + switch space): after every
+/// optimization the trail records the session index, the adopted parameters
+/// (IEEE-754 bits) and every LingXiStats counter.
+std::vector<std::uint64_t> batch1_controller_trail() {
+  const LingXiConfig cfg;
+  const auto lx_predictor = make_predictor(77);
+  LingXi lx(cfg, lx_predictor, trace::BitrateLadder::default_ladder());
+  abr::Hyb hyb;
+  trace::NetworkProfile profile;
+  profile.mean_bandwidth = 700.0;
+  profile.relative_sd = 0.4;
+  user::DataDrivenUser::Config behaviour;
+  behaviour.stall_archetype = user::StallArchetype::kSensitive;
+  behaviour.tolerance = 1.0;
+  const sim::SessionSimulator simulator({});
+  const trace::VideoGenerator videos({});
+  Rng rng(2024);
+
+  std::vector<std::uint64_t> trail;
+  for (std::uint64_t s = 0; s < 24; ++s) {
+    const trace::Video video = videos.sample(rng);
+    const auto bw = profile.make_session_model();
+    user::DataDrivenUser model(behaviour);
+    lx.begin_session();
+    const sim::SessionResult session = simulator.run(video, hyb, *bw, &model, rng);
+    for (const auto& seg : session.segments) lx.on_segment(seg);
+    lx.end_session(sim::exited_during_stall(session));
+    const Seconds buffer =
+        session.segments.empty() ? 0.0 : session.segments.back().buffer_after;
+    const auto adopted = lx.maybe_optimize(hyb, buffer, rng);
+    if (!adopted.has_value()) continue;
+    const LingXiStats& st = lx.stats();
+    trail.insert(trail.end(),
+                 {s, std::bit_cast<std::uint64_t>(adopted->stall_penalty),
+                  std::bit_cast<std::uint64_t>(adopted->switch_penalty),
+                  std::bit_cast<std::uint64_t>(adopted->hyb_beta), st.triggers,
+                  st.optimizations_run, st.pruned_preplay, st.mc_evaluations,
+                  st.mc_rollouts_pruned});
+  }
+  return trail;
+}
+
+TEST(LingXiGolden, Batch1TrailMatchesSequentialEngine) {
+  // Per optimization: session, stall_penalty, switch_penalty, hyb_beta
+  // (bits), triggers, optimizations_run, pruned_preplay, mc_evaluations,
+  // mc_rollouts_pruned.
+  const std::vector<std::uint64_t> kExpected = {
+      2,  0x4011333333333333ULL, 0x3ff0000000000000ULL, 0x3fe999999999999aULL, 1, 1, 0, 8,  4,
+      11, 0x400ecbb44b2e4c80ULL, 0x400a413b0f99ce2fULL, 0x3fe999999999999aULL, 2, 2, 0, 16, 10,
+      16, 0x3ff08f4b670254f0ULL, 0x3ffb29dd0a385944ULL, 0x3fe999999999999aULL, 3, 3, 0, 24, 14,
+  };
+  EXPECT_EQ(batch1_controller_trail(), kExpected);
 }
 
 }  // namespace

@@ -345,5 +345,27 @@ TEST(FleetAccumulator, MergeSaturatesAndPropagatesLatch) {
   EXPECT_TRUE(total.has_overflow());
 }
 
+TEST(FleetRunner, Batch1PerUserChecksumMatchesSequentialEngineGolden) {
+  // Recorded from the sequential whole-session rollout engine that kPerUser
+  // at predictor_batch 1 ran (no pool, training forward) until every Monte
+  // Carlo evaluation became a RolloutWave. A width-1 wave through the pool
+  // must reproduce the fleet bit for bit.
+  sim::FleetConfig cfg = small_fleet();
+  cfg.scheduler = sim::SchedulerMode::kPerUser;
+  cfg.predictor_batch = 1;
+  cfg.lingxi.monte_carlo.samples = 8;
+  cfg.lingxi.obo_rounds = 3;
+  cfg.threads = 2;
+  cfg.enable_lingxi = true;
+  sim::FleetRunner runner(cfg, hyb_factory());
+  runner.set_predictor_factory(test_predictor_factory());
+  const sim::FleetAccumulator result = runner.run(2024);
+  ASSERT_GT(result.lingxi_optimizations, 0u);
+  EXPECT_EQ(result.checksum(), 0x3a41d2f8u) << std::hex << result.checksum();
+  EXPECT_EQ(result.lingxi_optimizations, 18u);
+  EXPECT_EQ(result.lingxi_mc_evaluations, 54u);
+  EXPECT_EQ(result.sessions, 192u);
+}
+
 }  // namespace
 }  // namespace lingxi

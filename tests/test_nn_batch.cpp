@@ -12,8 +12,11 @@
 // panels above) get their own sweep at the fc1 shape and at tail shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -209,6 +212,50 @@ TEST(DenseBatch, TailShapeParityAtDispatchBoundaries) {
   expect_dense_parity_every_isa(6, 7, 505);
 }
 
+// forward_sparse_row against forward(), bit for bit (the sign of zeros
+// included), on rows with mostly-zero inputs of both signs.
+void expect_sparse_row_parity(nn::Dense& layer, const std::vector<double>& x) {
+  const std::size_t out = layer.out_features();
+  const nn::Tensor want = layer.forward(nn::Tensor({layer.in_features()}, x));
+  std::vector<std::uint32_t> active;
+  std::vector<double> got(out, -1.0);
+  layer.forward_sparse_row(x.data(), got.data(), active);
+  for (std::size_t o = 0; o < out; ++o) {
+    ASSERT_EQ(got[o], want[o]) << layer.in_features() << "->" << out << " col " << o;
+    ASSERT_EQ(std::signbit(got[o]), std::signbit(want[o])) << "col " << o;
+  }
+}
+
+TEST(DenseSparseRow, BitwiseParityWithForward) {
+  Rng rng(601);
+  for (const auto& [in, out] : {std::pair<std::size_t, std::size_t>{1600, 64},
+                                {13, 9},
+                                {64, 2}}) {
+    nn::Dense layer(in, out, rng);
+    for (const double zero_share : {0.0, 0.6, 0.95, 1.0}) {
+      std::vector<double> x = random_values(in, rng);
+      for (double& v : x) {
+        if (rng.bernoulli(zero_share)) v = rng.bernoulli(0.5) ? 0.0 : -0.0;
+      }
+      expect_sparse_row_parity(layer, x);
+    }
+  }
+}
+
+TEST(DenseSparseRow, ZeroSumTakesTheFullChainsSign) {
+  // forward() on an all-zero row from a -0 bias: -0 + (+0) is +0, so the
+  // output's sign depends on the skipped terms — the recompute must agree.
+  Rng rng(602);
+  nn::Dense layer(8, 4, rng);
+  nn::Tensor& bias = *layer.parameters()[1];
+  for (std::size_t o = 0; o < bias.size(); ++o) bias[o] = -0.0;
+  nn::Tensor& weight = *layer.parameters()[0];
+  weight[0] = -weight[0];  // mixed signs
+  weight[9] = -weight[9];
+  expect_sparse_row_parity(layer, std::vector<double>(8, 0.0));
+  expect_sparse_row_parity(layer, std::vector<double>(8, -0.0));
+}
+
 TEST(DenseIsa, ClampsToSupportAndReportsNames) {
   const nn::DenseIsa before = nn::dense_isa();
   EXPECT_STREQ(nn::dense_isa_name(nn::DenseIsa::kScalar), "scalar");
@@ -323,6 +370,8 @@ TEST(StallExitNetBatch, BitwiseParityAcrossBatchSizes) {
           {predictor::kChannels, predictor::kHistoryLen},
           {feats.begin() + b * kFeat, feats.begin() + (b + 1) * kFeat}));
       EXPECT_EQ(got[b], want) << "batch " << batch << " row " << b;
+      EXPECT_EQ(net.predict_row(feats.data() + b * kFeat, &ws), want)
+          << "batch " << batch << " row " << b;
     }
   }
 }
@@ -413,8 +462,14 @@ TEST(HybridPredictorBatch, BitwiseParityAcrossBatchSizes) {
     std::vector<double> got(batch, -1.0);
     predictor.predict_batch(batch, queries.data(), got.data(), &scratch);
     for (std::size_t i = 0; i < batch; ++i) {
-      EXPECT_EQ(got[i], predictor.predict(queries[i]))
-          << "batch " << batch << " query " << i;
+      // Oracle: the training forward through the same OS lookup and blend.
+      const auto& q = queries[i];
+      const double want =
+          q.stall_time <= predictor::HybridExitPredictor::kNnStallThreshold
+              ? std::clamp(os->predict(q.level, q.sw), 0.0, 1.0)
+              : predictor.finish_stalled(q, net->predict(q.state->features()));
+      EXPECT_EQ(got[i], want) << "batch " << batch << " query " << i;
+      EXPECT_EQ(predictor.predict(q), want) << "batch " << batch << " query " << i;
     }
   }
 }

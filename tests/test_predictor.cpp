@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "common/rng.h"
 #include "nn/serialize.h"
@@ -250,6 +251,15 @@ TEST(OsModel, FitSessionCountsExitOnLastSegment) {
 }
 
 // -- HybridExitPredictor --------------------------------------------------------
+
+// Inference through a const predictor is const: the training forward, which
+// writes layer caches, must not be reachable through it (fleet workers share
+// one predictor across threads).
+template <class P>
+concept TrainingForwardReachable =
+    requires(P&& p, const nn::Tensor& features) { std::forward<P>(p).net().predict(features); };
+static_assert(TrainingForwardReachable<HybridExitPredictor&>);
+static_assert(!TrainingForwardReachable<const HybridExitPredictor&>);
 
 TEST(Hybrid, UsesOsOnlyWithoutStall) {
   Rng rng(8);

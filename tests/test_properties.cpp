@@ -4,6 +4,7 @@
 // the session log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <limits>
@@ -518,8 +519,8 @@ class FleetBatchingInvariance : public ::testing::TestWithParam<BatchThreadCase>
     cfg.sessions_per_user_day = 6;
     cfg.users_per_shard = 2;
     // Pin the per-user schedule: this grid is the per-optimization batching
-    // contract (sequential batch<=1 path and pooled batch>1 path both live
-    // here); CrossUserWaveInvariance below covers the cohort schedule.
+    // contract (width-1 and wider pooled waves both live here);
+    // CrossUserWaveInvariance below covers the cohort schedule.
     cfg.scheduler = sim::SchedulerMode::kPerUser;
     cfg.enable_lingxi = true;
     cfg.drift_user_tolerance = true;
@@ -1362,8 +1363,15 @@ TEST(PredictBatchAssembly, PermutationInvariantAndScalarExact) {
     queries[i].sw = static_cast<predictor::SwitchType>(i % 3);
   }
 
-  std::vector<double> scalar(kQueries);
-  for (std::size_t i = 0; i < kQueries; ++i) scalar[i] = predictor.predict(queries[i]);
+  // Oracle: the training forward (StallExitNet::predict) through the same OS
+  // lookup and blend.
+  std::vector<double> oracle(kQueries);
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    const auto& q = queries[i];
+    oracle[i] = q.stall_time <= predictor::HybridExitPredictor::kNnStallThreshold
+                    ? std::clamp(os->predict(q.level, q.sw), 0.0, 1.0)
+                    : predictor.finish_stalled(q, net->predict(q.state->features()));
+  }
 
   std::vector<double> in_order(kQueries);
   predictor.predict_batch(kQueries, queries.data(), in_order.data());
@@ -1378,8 +1386,8 @@ TEST(PredictBatchAssembly, PermutationInvariantAndScalarExact) {
   predictor.predict_batch(kQueries, shuffled.data(), permuted.data());
 
   for (std::size_t i = 0; i < kQueries; ++i) {
-    EXPECT_EQ(in_order[i], scalar[i]) << "in-order query " << i;
-    EXPECT_EQ(permuted[i], scalar[perm[i]]) << "permuted slot " << i;
+    EXPECT_EQ(in_order[i], oracle[i]) << "in-order query " << i;
+    EXPECT_EQ(permuted[i], oracle[perm[i]]) << "permuted slot " << i;
   }
 }
 

@@ -573,20 +573,18 @@ TEST(SnapshotResume, PredictorFactoryOverridesDriftedWeights) {
   query.level = 1;
   query.stall_time = 0.8;
   query.sw = predictor::SwitchType::kNone;
-  auto original_copy = original;  // predict() is non-const on the net
-  EXPECT_EQ(restored.predict(query), original_copy.predict(query));
+  EXPECT_EQ(restored.predict(query), original.predict(query));
 
   const auto drifted = predictor_factory(999)();
-  auto drifted_copy = drifted;
-  EXPECT_NE(restored.predict(query), drifted_copy.predict(query));
+  EXPECT_NE(restored.predict(query), drifted.predict(query));
 }
 
 TEST(SnapshotResume, ResumedRunLeavesCallerPredictorWeightsUntouched) {
   // The base factory hands out copies of the caller's predictor, which share
-  // its net; the snapshot carries different weights. Every worker calls the
-  // wrapped factory at once, so it must clone before loading: the caller's
-  // model stays bit-identical and the resumed run still uses the snapshot's
-  // weights (it reproduces the uninterrupted reference run).
+  // its net; the snapshot carries different weights. The wrapped factory
+  // must clone before loading: the caller's model stays bit-identical and
+  // the resumed run still uses the snapshot's weights (it reproduces the
+  // uninterrupted reference run).
   sim::FleetConfig cfg = fleet_config();
   cfg.threads = 4;
   constexpr std::uint64_t kSeed = 77;
