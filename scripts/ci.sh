@@ -5,8 +5,8 @@
 #     re-run explicitly, so a label regression fails loudly on every push;
 #     the `bayesopt` label pins the optimizer fast path (incremental
 #     Cholesky == full refit, batched-acquisition parity), and the nn suite
-#     re-runs under LINGXI_DENSE_ISA=scalar/sse2/avx2/avx512 so every
-#     dispatchable dense kernel proves bitwise parity on the CI host;
+#     re-runs under LINGXI_DENSE_ISA=scalar/avx2 so both dispatchable
+#     dense kernels prove bitwise parity on the CI host;
 #     finally the fleet_scaling smoke JSON is gated on non-regressing
 #     sessions/sec ratios (width-64 vs width-1 waves, cohort vs per-opt);
 #   * the batched-path + cross-user wave smoke: bench_fleet_scaling
@@ -62,12 +62,12 @@
 # Debug, -O1, assertions on) and skip the timing gates, whose thresholds
 # mean nothing under instrumentation:
 #   * asan: AddressSanitizer + UndefinedBehaviorSanitizer (any report is
-#     fatal) over the full suite, plus the nn suite under every forced dense
-#     ISA;
+#     fatal) over the full suite, plus the nn suite under each forced dense
+#     ISA (scalar, avx2);
 #   * tsan: ThreadSanitizer over the full suite and the multi-threaded
-#     smokes — bench_fleet_scaling --opt-threads 2 (fleet workers share one
-#     predictor and its net), the scenario smoke and the crash-recovery
-#     fork + SIGKILL legs.
+#     smokes — bench_fleet_scaling (fleet workers share one predictor and
+#     its net), the scenario smoke and the crash-recovery fork + SIGKILL
+#     legs.
 #
 # Usage: scripts/ci.sh [Debug|Release|asan|tsan]   (default Release)
 set -euo pipefail
@@ -139,7 +139,7 @@ rm -rf "${SMOKE_DIR}"
 mkdir -p "${SMOKE_DIR}"
 
 if [ "${MODE}" = "asan" ]; then
-  for isa in scalar sse2 avx2 avx512; do
+  for isa in scalar avx2; do
     LINGXI_DENSE_ISA="${isa}" \
       ctest --test-dir "${BUILD_DIR}" --output-on-failure --no-tests=error -L nn
     echo "asan forced-ISA nn suite OK: ${isa}"
@@ -151,8 +151,7 @@ fi
 if [ "${MODE}" = "tsan" ]; then
   # Checksums are still asserted (non-zero exit on mismatch); rates are not.
   "${BUILD_DIR}/bench/bench_fleet_scaling" --batch 64 --users-per-shard 3 --smoke \
-    --opt-threads 2 --json "${SMOKE_DIR}/fleet_scaling.json" \
-    > "${SMOKE_DIR}/fleet_scaling.txt"
+    --json "${SMOKE_DIR}/fleet_scaling.json" > "${SMOKE_DIR}/fleet_scaling.txt"
   echo "tsan fleet_scaling smoke OK"
   "${BUILD_DIR}/bench/bench_scenarios" --smoke \
     --root "${SMOKE_DIR}/scenario-checkpoints" \
@@ -173,17 +172,17 @@ done
 
 # Forced-ISA parity sweep: the dense-kernel dispatch (nn::dense_isa) honours
 # LINGXI_DENSE_ISA, so the nn parity suite re-runs pinned to each variant
-# (requests wider than the hardware clamp down — redundant but still a valid
-# scalar-parity run, never a skip).
-for isa in scalar sse2 avx2 avx512; do
+# (avx2 on a host without it clamps down to scalar — redundant but still a
+# valid scalar-parity run, never a skip).
+for isa in scalar avx2; do
   LINGXI_DENSE_ISA="${isa}" \
     ctest --test-dir "${BUILD_DIR}" --output-on-failure --no-tests=error -L nn
   echo "forced-ISA parity OK: ${isa}"
 done
 
 # Batched-inference + cross-user wave parity smoke (small fleet, batch 64,
-# shard 3, pooled optimizer fits on 2 workers; non-zero exit on any checksum
-# mismatch between thread counts, batch modes or scheduler modes).
+# shard 3; non-zero exit on any checksum mismatch between thread counts,
+# batch modes or scheduler modes).
 #
 # The wall-clock sessions/sec gates on the summary can be blanketed by a
 # host-side steal burst on virtualized single-core runners (one observed
@@ -194,7 +193,6 @@ done
 FLEET_GATE_OK=0
 for FLEET_ATTEMPT in 1 2 3; do
   "${BUILD_DIR}/bench/bench_fleet_scaling" --batch 64 --users-per-shard 3 --smoke \
-    --opt-threads 2 \
     --json "${SMOKE_DIR}/fleet_scaling.json" \
     | tee "${SMOKE_DIR}/fleet_scaling.txt"
   echo "batched-path + cross-user wave smoke OK (attempt ${FLEET_ATTEMPT})"
@@ -218,8 +216,7 @@ cross = summary["cross_user"]["cross_user_sessions_per_sec"]
 assert batched >= 0.7 * scalar, f"batched/scalar regressed: {batched:.0f} vs {scalar:.0f}"
 assert cross >= 0.9 * per_opt, f"cross-user regressed: {cross:.0f} vs {per_opt:.0f}"
 print(f"sessions/sec gate OK: batched/scalar {batched / scalar:.2f}x, "
-      f"cross/per-opt {cross / per_opt:.2f}x (isa {summary['dense_isa']}, "
-      f"opt-threads {summary['optimizer_threads']})")
+      f"cross/per-opt {cross / per_opt:.2f}x (isa {summary['dense_isa']})")
 PYEOF
   FLEET_GATE_RC=$?
   set -e

@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/assert.h"
 #include "obs/timer.h"
@@ -14,23 +12,16 @@ namespace {
 // Offset of packed lower-triangular row i.
 constexpr std::size_t tri(std::size_t i) { return i * (i + 1) / 2; }
 
-// -1 = read LINGXI_GP_FULL_REFIT on first use, 0/1 = decided.
-std::atomic<int> g_full_refit{-1};
+std::atomic<bool> g_full_refit{false};
 
 }  // namespace
 
 void GaussianProcess::set_full_refit_for_testing(bool force) {
-  g_full_refit.store(force ? 1 : 0, std::memory_order_relaxed);
+  g_full_refit.store(force, std::memory_order_relaxed);
 }
 
 bool GaussianProcess::full_refit_forced() {
-  int v = g_full_refit.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* e = std::getenv("LINGXI_GP_FULL_REFIT");
-    v = (e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0) ? 1 : 0;
-    g_full_refit.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
+  return g_full_refit.load(std::memory_order_relaxed);
 }
 
 GaussianProcess::GaussianProcess() : GaussianProcess(GpConfig{}) {}
@@ -119,8 +110,8 @@ void GaussianProcess::recompute_alpha() {
   }
 }
 
-// Full O(n^3) refit — the LINGXI_GP_FULL_REFIT escape hatch, and the
-// reference the incremental path is pinned against.
+// Full O(n^3) refit — the reference the incremental path is pinned against
+// (forced by set_full_refit_for_testing).
 void GaussianProcess::refit() {
   OBS_SPAN("obo.refit");
   OBS_TIMED("bayesopt.gp.refit_us");

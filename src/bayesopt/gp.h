@@ -4,8 +4,8 @@
 // Cholesky factorization. observe() extends the factor with one new row
 // (O(n^2) incremental update); the factorization is row-ordered, so the
 // extended factor is bitwise identical to a from-scratch refit — pinned by
-// the IncrementalMatchesFullRefit property and forcible via the
-// LINGXI_GP_FULL_REFIT escape hatch.
+// the IncrementalMatchesFullRefit property against the full refit that
+// set_full_refit_for_testing() forces.
 #pragma once
 
 #include <cstddef>
@@ -88,9 +88,9 @@ class GaussianProcess {
   const std::vector<double>& factor() const noexcept { return chol_; }
   const std::vector<double>& alpha() const noexcept { return alpha_; }
 
-  /// When true (or when LINGXI_GP_FULL_REFIT is set in the environment),
-  /// observe()/restore() refactor from scratch instead of extending the
-  /// factor — the escape hatch the equality property is pinned against.
+  /// When true, observe()/restore() refactor from scratch instead of
+  /// extending the factor — the oracle the equality property and
+  /// BM_GpRefitFull run against.
   static void set_full_refit_for_testing(bool force);
 
  private:

@@ -6,6 +6,7 @@
 
 #include "common/assert.h"
 #include "obs/metrics.h"
+#include "obs/timer.h"
 #include "trace/bandwidth.h"
 
 namespace lingxi::core {
@@ -197,41 +198,28 @@ void LingXi::OptimizationRun::finish() {
 }
 
 bool LingXi::OptimizationRun::step() {
-  if (done_) return true;
-  if (pending_fit_) {
-    // A driver that ignores fit parking keeps making progress: run the
-    // parked fit inline, exactly where the un-parked path would have.
-    run_fit();
-  }
   for (;;) {
     if (done_) return true;
-    if (wave_ != nullptr) {
-      if (!wave_->step()) return false;  // parked on predictor queries
-      pending_mc_ = wave_->take_result();
-      wave_.reset();
-      rollout_abr_.reset();
-      pending_fit_ = true;
-      if (fit_parking_) return false;  // parked on the round-boundary fit
-      run_fit();
-      continue;
+    if (wave_ == nullptr) {
+      // Round 0 draws its candidate here; later rounds draw theirs at the
+      // previous round's fit.
+      if (rollout_abr_ == nullptr) begin_candidate();
+      start_wave();
     }
-    // A pooled run_fit() already drew the next candidate; otherwise (first
-    // round) draw it here. Wave construction always happens on this thread:
-    // the RolloutWave constructor touches the shared shard predictor.
-    if (rollout_abr_ == nullptr) begin_candidate();
-    start_wave();
-  }
-}
-
-void LingXi::OptimizationRun::run_fit() {
-  LINGXI_ASSERT(pending_fit_);
-  pending_fit_ = false;
-  finish_round(pending_mc_);
-  ++round_;
-  if (round_ >= rounds_) {
-    finish();
-  } else {
-    begin_candidate();
+    if (!wave_->step()) return false;  // parked on predictor queries
+    const sim::MonteCarloResult mc = wave_->take_result();
+    wave_.reset();
+    rollout_abr_.reset();
+    // Round-boundary fit: GP update, then the next candidate's acquisition
+    // sweep or the adoption decision.
+    OBS_SPAN("wave.fits");
+    OBS_TIMED("sim.wave.fits_us");
+    finish_round(mc);
+    if (++round_ >= rounds_) {
+      finish();
+    } else {
+      begin_candidate();
+    }
   }
 }
 

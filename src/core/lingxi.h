@@ -122,27 +122,15 @@ class LingXi {
     OptimizationRun(const OptimizationRun&) = delete;
     OptimizationRun& operator=(const OptimizationRun&) = delete;
 
-    /// True when finished; false when parked on predictor queries — or,
-    /// with fit parking enabled, on a round-boundary fit. Once finished, the
-    /// live ABR carries the adopted parameters (LingXi::current_params()).
+    /// True when finished; false when parked on predictor queries. Each
+    /// round-boundary fit (GP update with the round's Monte Carlo result,
+    /// then the next candidate's acquisition sweep or the adoption
+    /// decision) runs inline, on the stepping thread, as soon as the round's
+    /// wave completes; each fit is one `sim.wave.fits_us` observation and
+    /// one `wave.fits` span. Once finished, the live ABR carries the adopted
+    /// parameters (LingXi::current_params()).
     bool step();
     bool done() const noexcept { return done_; }
-
-    /// Fit parking: when enabled, step() parks (returns false) at every
-    /// round boundary instead of running the GP observe + acquisition sweep
-    /// inline, so a scheduler can pool many users' fits — run_fit() touches
-    /// only this run's private state (its OBO/GP, its rng, its ABR clone),
-    /// making concurrent fits of different users race-free and the results
-    /// independent of which thread ran them. A step() on a parked fit runs
-    /// it inline, so drivers that ignore parking still make progress.
-    void enable_fit_parking() noexcept { fit_parking_ = true; }
-    /// True while a round-boundary fit is parked.
-    bool needs_fit() const noexcept { return pending_fit_; }
-    /// Run the parked fit: GP update with the round's Monte Carlo result,
-    /// then either the next candidate's acquisition sweep or the adoption
-    /// decision. Wave construction stays in step() on the caller's thread
-    /// (it touches the shared shard predictor).
-    void run_fit();
 
    private:
     friend class LingXi;
@@ -177,10 +165,6 @@ class LingXi {
     abr::QoeParams candidate_;
     std::unique_ptr<abr::AbrAlgorithm> rollout_abr_;
     std::unique_ptr<sim::RolloutWave> wave_;
-    /// Round result awaiting its fit while parked (fit parking only).
-    sim::MonteCarloResult pending_mc_;
-    bool pending_fit_ = false;
-    bool fit_parking_ = false;
     bool done_ = false;
   };
 

@@ -3,7 +3,8 @@
 #include <vector>
 
 #if defined(__GNUC__)
-// Baseline 16-byte generic vectors, as in dense.cpp's SSE2 panel.
+// Baseline 16-byte generic vectors: wider generic vectors get split into
+// stack-spilling sequences on pre-AVX codegen.
 #define LINGXI_CONV_SIMD 1
 typedef double v2df __attribute__((vector_size(16)));
 #endif

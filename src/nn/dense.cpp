@@ -8,12 +8,9 @@
 #include <utility>
 #include <vector>
 
-#if defined(__GNUC__) && !defined(LINGXI_NO_DENSE_SIMD)
-#define LINGXI_DENSE_SIMD 1
-#if defined(__x86_64__)
+#if defined(__GNUC__) && defined(__x86_64__)
 #define LINGXI_DENSE_X86 1
 #include <immintrin.h>
-#endif
 #endif
 
 namespace lingxi::nn {
@@ -64,61 +61,9 @@ void dense_block(const double* w, const double* bias, std::size_t in_features,
   }
 }
 
-#ifdef LINGXI_DENSE_SIMD
-// Explicitly vectorized full block: SIMD lanes run ACROSS batch rows, never
-// along the reduction, so each lane performs exactly the scalar kernel's
-// accumulation sequence for its row — same adds, same order, bitwise parity
-// with forward() by construction (reduction-order vectorization would
-// reassociate and drift). The 8 rows are first packed into an interleaved
-// [in_features][8] panel so every step loads four contiguous 2-lane vectors
-// instead of gathering from 8 strided row pointers; the pack is a pure copy
-// (no rounding) amortized over all out_features weight rows. The vector is
-// the baseline 16-byte width — wider generic vectors get split into slow
-// stack-spilling sequences on pre-AVX codegen (measured ~5x slower), while
-// the native width runs ~1.6x faster than the unrolled scalar block. The
-// fp-contraction decision is made under the same flags as the scalar path,
-// keeping lane and scalar math identical.
-typedef double v2df __attribute__((vector_size(16)));
-
-void dense_block8_simd(const double* w, const Tensor& bias, std::size_t in_features,
-                       std::size_t out_features, const double* panel,
-                       double* const* dst) {
-  for (std::size_t o = 0; o < out_features; ++o) {
-    const double* wrow = w + o * in_features;
-    const double b = bias[o];
-    v2df acc0 = {b, b};
-    v2df acc1 = {b, b};
-    v2df acc2 = {b, b};
-    v2df acc3 = {b, b};
-    for (std::size_t i = 0; i < in_features; ++i) {
-      const double wi = wrow[i];
-      const v2df wv = {wi, wi};
-      const double* p = panel + 8 * i;
-      v2df r0, r1, r2, r3;
-      __builtin_memcpy(&r0, p, sizeof r0);
-      __builtin_memcpy(&r1, p + 2, sizeof r1);
-      __builtin_memcpy(&r2, p + 4, sizeof r2);
-      __builtin_memcpy(&r3, p + 6, sizeof r3);
-      acc0 += wv * r0;
-      acc1 += wv * r1;
-      acc2 += wv * r2;
-      acc3 += wv * r3;
-    }
-    dst[0][o] = acc0[0];
-    dst[1][o] = acc0[1];
-    dst[2][o] = acc1[0];
-    dst[3][o] = acc1[1];
-    dst[4][o] = acc2[0];
-    dst[5][o] = acc2[1];
-    dst[6][o] = acc3[0];
-    dst[7][o] = acc3[1];
-  }
-}
-#endif  // LINGXI_DENSE_SIMD
-
 #ifdef LINGXI_DENSE_X86
-// Per-ISA kernels, runtime-dispatched (the build stays baseline x86-64; the
-// target attribute lets each function use its ISA). This file is compiled
+// AVX2 kernels, runtime-dispatched (the build stays baseline x86-64; the
+// target attribute lets these functions use AVX2). This file is compiled
 // with -ffp-contract=off, so no mul-then-add below can fuse into an FMA (a
 // fused step skips the intermediate rounding the scalar path takes and
 // would break bitwise parity).
@@ -276,24 +221,6 @@ __attribute__((target("avx2"))) void dense_block_avx2(
   }
 }
 
-// Opt-in AVX-512 variant: lanes across rows of an 8-wide panel; blocks of
-// 2-7 rows are zero-padded up to 8 lanes and only the first `bn` stored.
-__attribute__((target("avx512f"))) void dense_panel_avx512(
-    const double* w, const Tensor& bias, std::size_t in_features,
-    std::size_t out_features, const double* panel, std::size_t bn,
-    double* const* dst) {
-  for (std::size_t o = 0; o < out_features; ++o) {
-    const double* wrow = w + o * in_features;
-    __m512d acc = _mm512_set1_pd(bias[o]);
-    for (std::size_t i = 0; i < in_features; ++i) {
-      const __m512d wv = _mm512_set1_pd(wrow[i]);
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(wv, _mm512_loadu_pd(panel + 8 * i)));
-    }
-    double lanes[8];
-    _mm512_storeu_pd(lanes, acc);
-    for (std::size_t j = 0; j < bn; ++j) dst[j][o] = lanes[j];
-  }
-}
 #endif  // LINGXI_DENSE_X86
 
 // Active ISA: -1 = undecided (read LINGXI_DENSE_ISA on first use).
@@ -310,9 +237,7 @@ DenseIsa clamp_to_supported(DenseIsa want) noexcept {
 const char* dense_isa_name(DenseIsa isa) noexcept {
   switch (isa) {
     case DenseIsa::kScalar: return "scalar";
-    case DenseIsa::kSse2: return "sse2";
     case DenseIsa::kAvx2: return "avx2";
-    case DenseIsa::kAvx512: return "avx512";
   }
   return "unknown";
 }
@@ -321,21 +246,9 @@ bool dense_isa_supported(DenseIsa isa) noexcept {
   switch (isa) {
     case DenseIsa::kScalar:
       return true;
-    case DenseIsa::kSse2:
-#ifdef LINGXI_DENSE_SIMD
-      return true;
-#else
-      return false;
-#endif
     case DenseIsa::kAvx2:
 #ifdef LINGXI_DENSE_X86
       return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case DenseIsa::kAvx512:
-#ifdef LINGXI_DENSE_X86
-      return __builtin_cpu_supports("avx512f") != 0;
 #else
       return false;
 #endif
@@ -346,17 +259,11 @@ bool dense_isa_supported(DenseIsa isa) noexcept {
 DenseIsa dense_isa() noexcept {
   int v = g_dense_isa.load(std::memory_order_relaxed);
   if (v < 0) {
-    // AVX2 by default, not AVX-512: 512-bit ops trigger frequency licensing /
-    // port splitting on many server parts, and the zmm variant measures
-    // ~30% slower than the ymm one here (bench_micro per-ISA sections).
-    // LINGXI_DENSE_ISA=avx512 opts in where the hardware likes it.
+    // Unset or unrecognized values take the widest supported ISA.
     DenseIsa want = DenseIsa::kAvx2;
-    if (const char* e = std::getenv("LINGXI_DENSE_ISA"); e != nullptr && *e != '\0') {
-      if (std::strcmp(e, "scalar") == 0) want = DenseIsa::kScalar;
-      else if (std::strcmp(e, "sse2") == 0) want = DenseIsa::kSse2;
-      else if (std::strcmp(e, "avx2") == 0) want = DenseIsa::kAvx2;
-      else if (std::strcmp(e, "avx512") == 0) want = DenseIsa::kAvx512;
-      // Unrecognized values fall through to the widest supported ISA.
+    if (const char* e = std::getenv("LINGXI_DENSE_ISA");
+        e != nullptr && std::strcmp(e, "scalar") == 0) {
+      want = DenseIsa::kScalar;
     }
     v = static_cast<int>(clamp_to_supported(want));
     g_dense_isa.store(v, std::memory_order_relaxed);
@@ -393,12 +300,13 @@ void Dense::forward_batch(ConstBatchView in, BatchView out) const {
   LINGXI_ASSERT(in.rows == out.rows);
   LINGXI_ASSERT(in.cols == in_ && out.cols == out_);
   constexpr std::size_t kBlock = 8;
-  [[maybe_unused]] const DenseIsa isa = dense_isa();
-#ifdef LINGXI_DENSE_SIMD
-  // Interleaved row panel for the vector kernels, reused across blocks (and
-  // calls) so a lockstep Monte Carlo run allocates it once per thread.
+#ifdef LINGXI_DENSE_X86
+  const bool avx2 = dense_isa() == DenseIsa::kAvx2;
+  // Interleaved row panel for the 3-8-row AVX2 kernels, reused across
+  // blocks (and calls) so a lockstep Monte Carlo run allocates it once per
+  // thread.
   static thread_local std::vector<double> panel;
-  panel.resize(kBlock * in_);
+  if (avx2) panel.resize(kBlock * in_);
 #endif
   std::size_t b0 = 0;
   while (b0 < in.rows) {
@@ -410,21 +318,8 @@ void Dense::forward_batch(ConstBatchView in, BatchView out) const {
       dst[j] = out.row(b0 + j);
     }
 #ifdef LINGXI_DENSE_X86
-    if (isa == DenseIsa::kAvx2) {
+    if (avx2) {
       dense_block_avx2(w_.data(), b_.data(), in_, out_, rows, bn, dst, panel.data());
-      b0 += bn;
-      continue;
-    }
-    // The AVX-512 panel takes any block of >= 2 rows (zero-padded lanes);
-    // single rows stay on the scalar chain.
-    if (isa == DenseIsa::kAvx512 && bn >= 2) {
-      for (std::size_t i = 0; i < in_; ++i) {
-        double* p = panel.data() + 8 * i;
-        std::size_t j = 0;
-        for (; j < bn; ++j) p[j] = rows[j][i];
-        for (; j < kBlock; ++j) p[j] = 0.0;
-      }
-      dense_panel_avx512(w_.data(), b_, in_, out_, panel.data(), bn, dst);
       b0 += bn;
       continue;
     }
@@ -437,18 +332,7 @@ void Dense::forward_batch(ConstBatchView in, BatchView out) const {
       case 5: dense_block<5>(w_.data(), b_.data(), in_, 0, out_, rows, dst); break;
       case 6: dense_block<6>(w_.data(), b_.data(), in_, 0, out_, rows, dst); break;
       case 7: dense_block<7>(w_.data(), b_.data(), in_, 0, out_, rows, dst); break;
-      default:
-#ifdef LINGXI_DENSE_SIMD
-        if (isa >= DenseIsa::kSse2) {
-          for (std::size_t i = 0; i < in_; ++i) {
-            for (std::size_t j = 0; j < kBlock; ++j) panel[8 * i + j] = rows[j][i];
-          }
-          dense_block8_simd(w_.data(), b_, in_, out_, panel.data(), dst);
-          break;
-        }
-#endif
-        dense_block<8>(w_.data(), b_.data(), in_, 0, out_, rows, dst);
-        break;
+      default: dense_block<8>(w_.data(), b_.data(), in_, 0, out_, rows, dst); break;
     }
     b0 += bn;
   }

@@ -8,28 +8,26 @@
 
 namespace lingxi::nn {
 
-/// Instruction set the batched dense kernel runs on. Every variant keeps
+/// Instruction set the batched dense kernel runs on. The AVX2 kernels keep
 /// SIMD lanes across batch rows or across outputs (never along the
-/// reduction), so all four produce bitwise-identical outputs — pinned by the
-/// forced-ISA parity tests. Ordered narrow to wide so clamping to hardware
-/// support is a min().
+/// reduction), so both produce bitwise-identical outputs — pinned by the
+/// forced-ISA parity tests. The scalar blocks are the reference and the
+/// fallback on CPUs (or non-x86 builds) without AVX2. Ordered narrow to
+/// wide so clamping to hardware support is a min().
 enum class DenseIsa {
   kScalar = 0,  ///< unrolled scalar blocks only
-  kSse2 = 1,    ///< 16-byte generic vectors, full 8-row blocks only
-  kAvx2 = 2,    ///< ymm kernels for every block size (see forward_batch)
-  kAvx512 = 3,  ///< 8-lane zmm panel, blocks of 2-8 rows (zero-padded)
+  kAvx2 = 1,    ///< ymm kernels for every block size (see forward_batch)
 };
 
-/// Name for logs / env parsing: "scalar", "sse2", "avx2", "avx512".
+/// Name for logs / env parsing: "scalar", "avx2".
 const char* dense_isa_name(DenseIsa isa) noexcept;
 
 /// True when this build + CPU can run `isa`.
 bool dense_isa_supported(DenseIsa isa) noexcept;
 
-/// The ISA forward_batch currently dispatches to: AVX2 where supported (the
-/// 512-bit variant downclocks on many server parts and measures slower, so
-/// it is opt-in), unless LINGXI_DENSE_ISA (scalar|sse2|avx2|avx512, clamped
-/// to hardware support) or set_dense_isa_for_testing() overrode it.
+/// The ISA forward_batch currently dispatches to: AVX2 where supported,
+/// scalar otherwise, unless LINGXI_DENSE_ISA (scalar|avx2, clamped to
+/// hardware support) or set_dense_isa_for_testing() overrode it.
 DenseIsa dense_isa() noexcept;
 
 /// In-process override for tests and benches (the env var is only read

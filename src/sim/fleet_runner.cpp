@@ -18,7 +18,6 @@
 #include "obs/timeline.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
-#include "sim/optimizer_pool.h"
 #include "telemetry/sink.h"
 #include "user/data_driven.h"
 
@@ -449,10 +448,6 @@ FleetAccumulator FleetRunner::run_days_leg(
 
   std::atomic<std::size_t> next_shard{0};
   const auto worker = [&] {
-    // One fit pool per worker, shared across its shards, so the fit workers
-    // are spawned once per leg rather than once per shard. A zero-worker
-    // pool runs the fits inline on this thread.
-    OptimizerPool fit_pool(config_.optimizer_threads);
     for (;;) {
       const std::size_t shard = next_shard.fetch_add(1, std::memory_order_relaxed);
       if (shard >= shard_count) return;
@@ -460,7 +455,7 @@ FleetAccumulator FleetRunner::run_days_leg(
       const std::size_t last = std::min(first + config_.users_per_shard, config_.users);
       ShardScheduler scheduler(
           *this, world, seed, first, last, shards[shard], first_day, last_day,
-          resume, out_state, &fit_pool, predictor,
+          resume, out_state, predictor,
           day_totals != nullptr ? &shard_day_totals[shard * leg_days] : nullptr);
       scheduler.run();
       shard_stats[shard] = scheduler.stats();
@@ -520,8 +515,6 @@ class ShardScheduler::UserTask {
   /// user; the task continues bitwise identically to one that simulated the
   /// earlier days itself (static context re-derives from (seed, user)
   /// streams, evolving state restores from `resume`).
-  /// With `park_fits`, optimizations park at round boundaries so the
-  /// cohort schedule can pool the fits (see parked_fit()).
   /// `day_totals`, when non-null, is the shard's leg-relative per-day slot
   /// array (see ShardScheduler): every tally banked into `acc` is also
   /// banked into the slot of the day it is attributed to.
@@ -529,8 +522,7 @@ class ShardScheduler::UserTask {
            std::size_t user_index, FleetAccumulator& acc,
            const predictor::HybridExitPredictor* shard_predictor,
            predictor::ExitQueryPool* pool, std::size_t first_day, std::size_t stop_day,
-           const UserFleetState* resume, bool park_fits = false,
-           FleetAccumulator* day_totals = nullptr)
+           const UserFleetState* resume, FleetAccumulator* day_totals = nullptr)
       : runner_(runner),
         cfg_(runner.config()),
         world_(world),
@@ -543,8 +535,7 @@ class ShardScheduler::UserTask {
         pool_(pool),
         scenario_(runner.config().scenario.empty() ? nullptr : &runner.config().scenario),
         day_(first_day),
-        stop_day_(stop_day),
-        park_fits_(park_fits) {
+        stop_day_(stop_day) {
     if (scenario_ != nullptr) {
       // A churn scheduled exactly at first_day belongs to THIS leg (it rolls
       // over in begin_day), so construction rebuilds the generation that was
@@ -593,14 +584,6 @@ class ShardScheduler::UserTask {
     // day-boundary leg exports state instead (export_state).
     if (stop_day_ == cfg_.days) finish_user();
     return true;
-  }
-
-  /// Non-null while the task is parked on a round-boundary optimizer fit
-  /// (never while parked on predictor queries): the run whose run_fit() the
-  /// scheduler must invoke — possibly from a pool worker — before the next
-  /// step(). Meaningful only for park_fits tasks.
-  core::LingXi::OptimizationRun* parked_fit() const noexcept {
-    return opt_ != nullptr && opt_->needs_fit() ? opt_.get() : nullptr;
   }
 
   /// Day-boundary state for a later resume; call only after step() returned
@@ -745,7 +728,6 @@ class ShardScheduler::UserTask {
             result_.segments.empty() ? 0.0 : result_.segments.back().buffer_after;
         opt_ = lingxi_->begin_optimization(*abr_, buffer_seed, session_rng_, pool_,
                                            static_cast<std::uint32_t>(user_));
-        if (opt_ != nullptr && park_fits_) opt_->enable_fit_parking();
       }
     }
   }
@@ -860,7 +842,6 @@ class ShardScheduler::UserTask {
   double video_duration_ = 0.0;
   SessionResult result_;
   bool measured_ = false;
-  bool park_fits_ = false;
   std::unique_ptr<core::LingXi::OptimizationRun> opt_;
 };
 
@@ -869,7 +850,6 @@ ShardScheduler::ShardScheduler(const FleetRunner& runner, const FleetWorld& worl
                                std::size_t last_user, FleetAccumulator& acc,
                                std::size_t first_day, std::size_t last_day,
                                const FleetDayState* resume, FleetDayState* out_state,
-                               OptimizerPool* fit_pool,
                                const predictor::HybridExitPredictor* predictor,
                                FleetAccumulator* day_totals)
     : runner_(runner),
@@ -883,7 +863,6 @@ ShardScheduler::ShardScheduler(const FleetRunner& runner, const FleetWorld& worl
       resume_(resume),
       out_state_(out_state),
       pool_(std::make_unique<predictor::ExitQueryPool>()),
-      fit_pool_(fit_pool),
       predictor_(predictor),
       day_totals_(day_totals) {
   LINGXI_ASSERT(first_user_ <= last_user_);
@@ -908,8 +887,7 @@ void ShardScheduler::run_per_user() {
   // flush below has queries to evaluate.
   for (std::size_t u = first_user_; u < last_user_; ++u) {
     UserTask task(runner_, world_, seed_, u, acc_, predictor_, pool_.get(), first_day_,
-                  last_day_, resume_ != nullptr ? &resume_->users[u] : nullptr,
-                  /*park_fits=*/false, day_totals_);
+                  last_day_, resume_ != nullptr ? &resume_->users[u] : nullptr, day_totals_);
     while (!task.step()) {
       OBS_SPAN("wave.flush");
       OBS_TIMED("sim.wave.flush_us");
@@ -927,24 +905,19 @@ void ShardScheduler::run_cohort() {
   for (std::size_t u = first_user_; u < last_user_; ++u) {
     tasks.push_back(std::make_unique<UserTask>(
         runner_, world_, seed_, u, acc_, predictor_, pool_.get(), first_day_, last_day_,
-        resume_ != nullptr ? &resume_->users[u] : nullptr, /*park_fits=*/true,
-        day_totals_));
+        resume_ != nullptr ? &resume_->users[u] : nullptr, day_totals_));
   }
 
   // Live tasks in ascending user order. Each wave steps every live task
-  // until it parks or completes; the wave's parked optimizer fits then run
-  // as one pooled batch, one pooled flush serves all parked queries, and
-  // the next wave resumes the parked tasks. The fit batch is determined by
-  // task order alone and every fit touches only its own user's state, so
-  // neither the pooling nor the worker count can change any result.
+  // until it parks on predictor queries or completes (optimizer fits run
+  // inside the step), one pooled flush serves all parked queries, and the
+  // next wave resumes the parked tasks.
   std::vector<std::size_t> live;
   live.reserve(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) live.push_back(i);
   std::vector<std::size_t> parked;
-  std::vector<core::LingXi::OptimizationRun*> fits;
   while (!live.empty()) {
     parked.clear();
-    fits.clear();
     for (const std::size_t i : live) {
       if (tasks[i]->step()) {
         if (out_state_ != nullptr) {
@@ -953,25 +926,9 @@ void ShardScheduler::run_cohort() {
         tasks[i].reset();  // free completed per-user state before the shard ends
       } else {
         parked.push_back(i);
-        if (core::LingXi::OptimizationRun* fit = tasks[i]->parked_fit()) {
-          fits.push_back(fit);
-        }
       }
     }
     live = parked;
-    if (!fits.empty()) {
-      if (obs::Registry* reg = obs::Registry::active()) {
-        reg->observe("sim.wave.pooled_fits", obs::HistogramSpec::rows(),
-                     static_cast<double>(fits.size()));
-      }
-      OBS_SPAN("wave.fits");
-      OBS_TIMED("sim.wave.fits_us");
-      if (fit_pool_ != nullptr) {
-        fit_pool_->run(fits.size(), [&](std::size_t i) { fits[i]->run_fit(); });
-      } else {
-        for (core::LingXi::OptimizationRun* fit : fits) fit->run_fit();
-      }
-    }
     if (!live.empty()) {
       if (obs::Registry* reg = obs::Registry::active()) {
         reg->add("sim.wave.count");

@@ -59,8 +59,6 @@ class ExitQueryPool;
 
 namespace lingxi::sim {
 
-class OptimizerPool;
-
 /// Immutable config-derived simulation context shared (read-only) by all
 /// fleet workers.
 struct FleetWorld {
@@ -219,7 +217,8 @@ struct FleetConfig {
   /// balance heterogeneous users better, larger shards amortize per-shard
   /// setup and — under kCohortWaves — pool more users per predictor flush.
   std::size_t users_per_shard = 8;
-  /// Shard execution schedule; results are identical in both modes.
+  /// Shard execution schedule; results are identical in both modes, and
+  /// in both every optimizer fit runs inline on the shard's worker thread.
   SchedulerMode scheduler = SchedulerMode::kCohortWaves;
   /// Treatment switch: run LingXi per user (config `lingxi`) vs pinning
   /// `fixed_params` on the ABR.
@@ -239,14 +238,6 @@ struct FleetConfig {
   /// configured; any value yields a bitwise-identical fleet checksum
   /// (asserted by tests/test_properties.cpp).
   std::size_t predictor_batch = 0;
-  /// Extra worker threads (per shard worker) for the round-boundary
-  /// optimizer fits — GP observe plus the next acquisition sweep — that
-  /// kCohortWaves parks at wave boundaries and runs as one pooled batch.
-  /// 0 runs the fits inline on the shard's own thread. Purely a scheduling
-  /// knob: each fit touches only its user's private state, so any value
-  /// yields bitwise-identical results (asserted by test_properties.cpp).
-  /// Ignored under kPerUser, whose fits were never parked.
-  std::size_t optimizer_threads = 0;
   /// Lognormal sigma jittering each session's mean bandwidth around the
   /// user's profile (cellular commute vs home Wi-Fi); 0 disables.
   double session_jitter_sigma = 0.0;
@@ -399,6 +390,12 @@ class FleetRunner {
 ///     next user runs; one pooled flush per wave serves every parked query
 ///     across users, candidates and rollouts, sub-batched per net.
 ///
+/// Under both schedules each optimizer fit (GP update plus the next
+/// acquisition sweep) runs inline inside its user's task step, on the
+/// shard's worker thread, the moment the user's Monte Carlo round completes
+/// (core::LingXi::OptimizationRun::step()); a task parks only on predictor
+/// queries, so every flush has queries to evaluate.
+///
 /// Tasks step in ascending user order, so park order — and therefore every
 /// batch composition — is a pure function of (config, seed, shard range):
 /// replays are deterministic. Per-user outcomes cannot depend on the
@@ -411,8 +408,6 @@ class ShardScheduler {
   /// `resume` / `out_state`, when non-null, are the whole-fleet day-boundary
   /// states (indexed by absolute user index) this shard restores from /
   /// exports into; the scheduler touches only its own users' entries.
-  /// `fit_pool`, when non-null, runs the cohort waves' parked optimizer
-  /// fits (shared across the worker's shards; may be a zero-worker pool).
   /// `predictor` is the run's shared predictor, borrowed by every user's
   /// LingXi; required when LingXi is enabled. Inference is const and pure
   /// per row, so sharing it across users, shards and threads is bitwise
@@ -426,7 +421,6 @@ class ShardScheduler {
                  std::size_t first_user, std::size_t last_user, FleetAccumulator& acc,
                  std::size_t first_day, std::size_t last_day,
                  const FleetDayState* resume, FleetDayState* out_state,
-                 OptimizerPool* fit_pool = nullptr,
                  const predictor::HybridExitPredictor* predictor = nullptr,
                  FleetAccumulator* day_totals = nullptr);
   ~ShardScheduler();
@@ -455,7 +449,6 @@ class ShardScheduler {
   const FleetDayState* resume_;
   FleetDayState* out_state_;
   std::unique_ptr<predictor::ExitQueryPool> pool_;
-  OptimizerPool* fit_pool_;  ///< not owned; may be null (fits run inline)
   /// The run's shared predictor; null when LingXi is disabled.
   const predictor::HybridExitPredictor* predictor_;
   /// Per-day accumulator slots for this shard (leg-relative, size

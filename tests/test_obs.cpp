@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -218,6 +219,26 @@ TEST(ObsRegistry, ScopedTimerFeedsHistogramAndSpan) {
   EXPECT_EQ(both->count, 1u);
   EXPECT_EQ(tracer.retained_events(), 2u);  // unit.span + unit.both_us
   EXPECT_EQ(tracer.dropped_events(), 0u);
+}
+
+TEST(ObsRegistry, ScopedTimerResolvesSubMicrosecondScopes) {
+  // Scopes shorter than a microsecond must not record 0: the timer reads
+  // the clock in ns and observes fractional µs. With whole-µs clock reads
+  // most of these scopes would start and end in the same microsecond.
+  Registry reg;
+  InstallGuard guard(&reg);
+  for (int i = 0; i < 200; ++i) {
+    OBS_TIMED("unit.timer.sub_us");
+    const auto start = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() - start < std::chrono::nanoseconds(200)) {
+    }
+  }
+  const RegistrySnapshot snap = reg.snapshot();
+  const MetricSnapshot* timed = snap.find("unit.timer.sub_us");
+  ASSERT_NE(timed, nullptr);
+  EXPECT_EQ(timed->count, 200u);
+  EXPECT_GT(timed->min, 0.0);
+  EXPECT_GE(timed->min, 0.2);  // every scope busy-waited at least 200 ns
 }
 
 TEST(ObsTracer, RingOverflowDropsOldestAndCounts) {

@@ -584,21 +584,18 @@ INSTANTIATE_TEST_SUITE_P(BatchByThreads, FleetBatchingInvariance,
 // predictor_batch) grid — and the telemetry archive bytes with it.
 // ---------------------------------------------------------------------------
 
-using WaveCase =
-    std::tuple<int /*threads*/, int /*users_per_shard*/, int /*batch*/, int /*opt_threads*/>;
+using WaveCase = std::tuple<int /*threads*/, int /*users_per_shard*/, int /*batch*/>;
 
 class CrossUserWaveInvariance : public ::testing::TestWithParam<WaveCase> {
  public:
   static sim::FleetAccumulator run(sim::SchedulerMode mode, std::size_t threads,
                                    std::size_t users_per_shard, std::size_t batch,
-                                   telemetry::TelemetrySink* sink = nullptr,
-                                   std::size_t optimizer_threads = 0) {
+                                   telemetry::TelemetrySink* sink = nullptr) {
     sim::FleetConfig cfg = FleetBatchingInvariance::fleet_config();
     cfg.scheduler = mode;
     cfg.threads = threads;
     cfg.users_per_shard = users_per_shard;
     cfg.predictor_batch = batch;
-    cfg.optimizer_threads = optimizer_threads;
     sim::FleetRunner runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
     runner.set_predictor_factory([] {
       Rng net_rng(4242);
@@ -617,14 +614,13 @@ TEST_P(CrossUserWaveInvariance, ChecksumMatchesPerUserSchedule) {
   // Meaningful only if optimizations (and so pooled forwards) actually ran.
   ASSERT_GT(reference.lingxi_optimizations, 0u);
 
-  const auto [threads, users_per_shard, batch, opt_threads] = GetParam();
+  const auto [threads, users_per_shard, batch] = GetParam();
   const sim::FleetAccumulator acc =
       run(sim::SchedulerMode::kCohortWaves, static_cast<std::size_t>(threads),
-          static_cast<std::size_t>(users_per_shard), static_cast<std::size_t>(batch),
-          nullptr, static_cast<std::size_t>(opt_threads));
+          static_cast<std::size_t>(users_per_shard), static_cast<std::size_t>(batch));
   EXPECT_EQ(acc.checksum(), reference.checksum())
       << "threads=" << threads << " users_per_shard=" << users_per_shard
-      << " batch=" << batch << " optimizer_threads=" << opt_threads;
+      << " batch=" << batch;
   EXPECT_EQ(acc.watch_ticks, reference.watch_ticks);
   EXPECT_EQ(acc.stall_ticks, reference.stall_ticks);
   EXPECT_EQ(acc.bitrate_time_ticks, reference.bitrate_time_ticks);
@@ -637,8 +633,7 @@ TEST_P(CrossUserWaveInvariance, ChecksumMatchesPerUserSchedule) {
 INSTANTIATE_TEST_SUITE_P(Grid, CrossUserWaveInvariance,
                          ::testing::Combine(::testing::Values(1, 4),
                                             ::testing::Values(1, 3, 8),
-                                            ::testing::Values(0, 1, 7, 64),
-                                            ::testing::Values(0, 2)));
+                                            ::testing::Values(0, 1, 7, 64)));
 
 // The dense kernel's ISA dispatch (nn::dense_isa) must be invisible to
 // fleet results: every supported ISA reproduces the scalar checksum bit for
@@ -649,14 +644,12 @@ TEST(CrossUserWaveInvariance, ChecksumInvariantAcrossDenseIsa) {
   const sim::FleetAccumulator reference =
       CrossUserWaveInvariance::run(sim::SchedulerMode::kCohortWaves, 1, 3, 7);
   ASSERT_GT(reference.lingxi_optimizations, 0u);
-  for (const nn::DenseIsa isa : {nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2,
-                                 nn::DenseIsa::kAvx512}) {
-    if (!nn::dense_isa_supported(isa)) continue;
-    ASSERT_EQ(nn::set_dense_isa_for_testing(isa), isa);
+  if (nn::dense_isa_supported(nn::DenseIsa::kAvx2)) {
+    ASSERT_EQ(nn::set_dense_isa_for_testing(nn::DenseIsa::kAvx2), nn::DenseIsa::kAvx2);
     const sim::FleetAccumulator acc =
         CrossUserWaveInvariance::run(sim::SchedulerMode::kCohortWaves, 1, 3, 7);
-    EXPECT_EQ(acc.checksum(), reference.checksum()) << nn::dense_isa_name(isa);
-    EXPECT_EQ(acc.watch_ticks, reference.watch_ticks) << nn::dense_isa_name(isa);
+    EXPECT_EQ(acc.checksum(), reference.checksum());
+    EXPECT_EQ(acc.watch_ticks, reference.watch_ticks);
   }
   nn::set_dense_isa_for_testing(before);
 }
@@ -667,11 +660,9 @@ TEST(CrossUserWaveArchive, BytesIdenticalUnderInterleavedExecution) {
   // untouched. Archive shard granularity is fixed; only the execution
   // schedule varies.
   const auto capture_run = [](sim::SchedulerMode mode, std::size_t threads,
-                              std::size_t users_per_shard, std::size_t batch,
-                              std::size_t optimizer_threads = 0) {
+                              std::size_t users_per_shard, std::size_t batch) {
     telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
-    CrossUserWaveInvariance::run(mode, threads, users_per_shard, batch, &capture,
-                                 optimizer_threads);
+    CrossUserWaveInvariance::run(mode, threads, users_per_shard, batch, &capture);
     return capture.finish();
   };
 
@@ -679,16 +670,14 @@ TEST(CrossUserWaveArchive, BytesIdenticalUnderInterleavedExecution) {
       capture_run(sim::SchedulerMode::kPerUser, 1, 2, 0);
   ASSERT_GT(reference.total_bytes(), 0u);
 
-  const WaveCase interleaved_cases[] = {
-      {1, 3, 7, 0}, {4, 8, 64, 0}, {2, 1, 1, 0}, {1, 8, 7, 2}};
-  for (const auto& [threads, users_per_shard, batch, opt_threads] : interleaved_cases) {
+  const WaveCase interleaved_cases[] = {{1, 3, 7}, {4, 8, 64}, {2, 1, 1}, {1, 8, 7}};
+  for (const auto& [threads, users_per_shard, batch] : interleaved_cases) {
     const telemetry::FleetArchive archive = capture_run(
         sim::SchedulerMode::kCohortWaves, static_cast<std::size_t>(threads),
-        static_cast<std::size_t>(users_per_shard), static_cast<std::size_t>(batch),
-        static_cast<std::size_t>(opt_threads));
+        static_cast<std::size_t>(users_per_shard), static_cast<std::size_t>(batch));
     EXPECT_EQ(archive.checksum(), reference.checksum())
         << "threads=" << threads << " users_per_shard=" << users_per_shard
-        << " batch=" << batch << " optimizer_threads=" << opt_threads;
+        << " batch=" << batch;
     ASSERT_EQ(archive.shards.size(), reference.shards.size());
     for (std::size_t s = 0; s < reference.shards.size(); ++s) {
       EXPECT_TRUE(archive.shards[s] == reference.shards[s]) << "shard " << s;
