@@ -30,7 +30,7 @@ int main() {
   cfg.sessions_per_user_day = 12;
   cfg.intervention_day = 0;  // LingXi active the whole time (post-deploy view)
   cfg.threads = 0;           // fleet-parallel: all hardware threads
-  cfg.predictor_batch = 16;  // batched candidate-session inference
+  cfg.lingxi.monte_carlo.batch_size = 16;  // batched candidate-session inference
   cfg.network.median_bandwidth = 3500.0;
   cfg.network.sigma = 0.9;        // wide spread across buckets
   cfg.network.relative_sd = 0.45;  // bursty links: stalls happen while the

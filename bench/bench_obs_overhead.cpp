@@ -137,10 +137,9 @@ int main(int argc, char** argv) {
   cfg.sessions_per_user_day = 8;
   cfg.users_per_shard = 4;
   cfg.threads = 1;  // serial: per-session cost, no scheduler noise
-  cfg.scheduler = sim::SchedulerMode::kCohortWaves;
   cfg.enable_lingxi = true;
   cfg.drift_user_tolerance = true;
-  cfg.predictor_batch = 16;
+  cfg.lingxi.monte_carlo.batch_size = 16;
   cfg.network.median_bandwidth = 1500.0;
   cfg.network.sigma = 0.5;
   cfg.network.relative_sd = 0.35;

@@ -6,8 +6,8 @@
 //      byte-for-byte (accumulator checksum + archive bytes) the unscripted
 //      run;
 //   2. grid determinism — the scripted run must reproduce the same
-//      accumulator checksum and archive bytes across scheduler mode,
-//      threads, users_per_shard and predictor_batch;
+//      accumulator checksum and archive bytes across threads,
+//      users_per_shard and Monte Carlo batch size;
 //   3. checkpoint/kill/resume — a forked child auto-checkpoints the
 //      scripted run and SIGKILLs itself inside the commit that lands on the
 //      churn day; the parent recovers via find_latest_valid and resumes
@@ -75,8 +75,8 @@ bool kill_hook(snapshot::SaveStage stage) {
 
 // The treatment-arm fleet shape shared by every leg. Every result-shaping
 // knob must agree across legs for the parity checks to mean anything;
-// scheduler / threads / users_per_shard / predictor_batch are the knobs the
-// grid sweeps.
+// threads / users_per_shard / Monte Carlo batch size are the knobs the grid
+// sweeps.
 sim::FleetConfig make_fleet_config(std::size_t users, std::size_t days,
                                    std::size_t threads,
                                    const scenario::ScenarioScript& script) {
@@ -230,32 +230,31 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(reference.acc.users),
               verdict(churn_fired));
 
+  // Batch 0 keeps the configured Monte Carlo batch size; one user per shard
+  // is the per-optimization schedule.
   struct GridCase {
-    sim::SchedulerMode mode;
     std::size_t threads;
     std::size_t users_per_shard;
     std::size_t batch;
   };
   const GridCase grid[] = {
-      {sim::SchedulerMode::kPerUser, 1, ref_cfg.users_per_shard, 0},
-      {sim::SchedulerMode::kPerUser, threads, 1, 7},
-      {sim::SchedulerMode::kCohortWaves, 1, 4, 0},
-      {sim::SchedulerMode::kCohortWaves, threads, ref_cfg.users_per_shard, 64},
+      {1, 1, 0},
+      {threads, 1, 7},
+      {1, 4, 0},
+      {threads, ref_cfg.users_per_shard, 64},
   };
   bool grid_match = true;
   for (const GridCase& c : grid) {
     sim::FleetConfig cfg = ref_cfg;
-    cfg.scheduler = c.mode;
     cfg.threads = c.threads;
     cfg.users_per_shard = c.users_per_shard;
-    cfg.predictor_batch = c.batch;
+    if (c.batch > 0) cfg.lingxi.monte_carlo.batch_size = c.batch;
     const RunResult r = run_fleet(cfg, predictor_factory);
     const bool ok = r.acc.checksum() == reference.acc.checksum() &&
                     archives_identical(r.archive, reference.archive);
     grid_match = grid_match && ok;
-    std::printf("  scheduler=%s threads=%zu users_per_shard=%zu batch=%zu: %s\n",
-                c.mode == sim::SchedulerMode::kPerUser ? "per-user" : "cohort-waves",
-                c.threads, c.users_per_shard, c.batch, verdict(ok));
+    std::printf("  threads=%zu users_per_shard=%zu batch=%zu: %s\n", c.threads,
+                c.users_per_shard, c.batch, verdict(ok));
   }
 
   // --- 3. Checkpoint / SIGKILL / resume through the churn day ---------------

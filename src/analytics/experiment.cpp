@@ -21,7 +21,7 @@ std::size_t stall_exit_count(const sim::SessionResult& session) {
 /// worker in (day, session) order, even under the cross-user wave scheduler
 /// where a shard's users interleave between optimization park points — and
 /// merged in user order afterwards, so the assembled result is identical at
-/// any thread count, shard size and scheduler mode.
+/// any thread count and shard size.
 class ExperimentSink final : public telemetry::TelemetrySink {
  public:
   /// Assembles records for sessions of days [first_day, days) — one leg of
@@ -176,8 +176,6 @@ sim::FleetConfig PopulationExperiment::fleet_config(bool treatment,
   fleet.enable_lingxi = treatment;
   fleet.intervention_day = treatment ? config_.intervention_day : 0;
   fleet.drift_user_tolerance = config_.drift_user_tolerance;
-  fleet.predictor_batch = config_.predictor_batch;
-  fleet.scheduler = config_.scheduler;
   fleet.fixed_params = config_.lingxi.default_params;  // control arm pins defaults
   fleet.population = config_.population;
   fleet.network = config_.network;

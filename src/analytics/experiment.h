@@ -12,7 +12,8 @@
 // run (control pins the default parameters, treatment enables LingXi), and
 // an in-memory telemetry sink assembles the ExperimentResult from the
 // runner's worker callbacks. Results are deterministic for a given seed and
-// independent of `threads` / `predictor_batch` — the FleetRunner guarantees.
+// independent of `threads` and of `lingxi.monte_carlo.batch_size` — the
+// FleetRunner guarantees.
 //
 // The driver records:
 //   * per-day aggregate metrics (watch time, bitrate, stall) per arm,
@@ -49,17 +50,10 @@ struct ExperimentConfig {
   bool drift_user_tolerance = true;
   bool record_stall_events = false;
   /// FleetRunner worker pool driving each arm (0 = hardware concurrency).
-  /// Purely a throughput knob: results are identical at any value. Note the
-  /// predictor factory is invoked from worker threads when > 1.
+  /// Purely a throughput knob: results are identical at any value. The
+  /// predictor factory runs once per FleetRunner::run_days() call, on the
+  /// calling thread.
   std::size_t threads = 1;
-  /// Lockstep batch for LingXi's Monte Carlo rollouts (0 = keep
-  /// `lingxi.monte_carlo.batch_size`); results identical at any value.
-  std::size_t predictor_batch = 0;
-  /// Shard execution schedule (sim::SchedulerMode). The default cross-user
-  /// cohort schedule pools predictor flushes across each shard's users;
-  /// results are bitwise identical in both modes — the FleetRunner
-  /// guarantee, which the archive/regression suites pin for this driver.
-  sim::SchedulerMode scheduler = sim::SchedulerMode::kCohortWaves;
 
   user::UserPopulation::Config population;
   trace::PopulationModel::Config network;

@@ -81,17 +81,12 @@ std::unique_ptr<LingXi::OptimizationRun> LingXi::begin_optimization(
 }
 
 std::optional<abr::QoeParams> LingXi::maybe_optimize(abr::AbrAlgorithm& abr,
-                                                     Seconds current_buffer, Rng& rng,
-                                                     predictor::ExitQueryPool* pool,
-                                                     std::uint32_t user_tag) {
-  const auto run = begin_optimization(abr, current_buffer, rng, pool, user_tag);
+                                                     Seconds current_buffer, Rng& rng) {
+  const auto run = begin_optimization(abr, current_buffer, rng);
   if (run == nullptr) return std::nullopt;
-  // Drive the run to completion inline. Without a pool each wave flushes
-  // its own parked queries; with one, flush it between steps — either way
-  // the flush scope is a single optimization (the per-optimization batching
-  // baseline the cross-user scheduler is measured against).
+  // Drive the run to completion inline; without a pool each wave flushes
+  // its own parked queries on the next step().
   while (!run->step()) {
-    if (pool != nullptr) pool->flush();
   }
   return current_params_;
 }

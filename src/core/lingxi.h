@@ -170,9 +170,10 @@ class LingXi {
 
   /// Begin an optimization if triggered: the trigger/bandwidth/pre-playback
   /// checks (and their stats side effects) run immediately; nullptr means no
-  /// optimization happens this session. With `pool`, Monte Carlo exit
-  /// queries park there under (user_tag, rollout, segment) for a fleet-wide
-  /// flush between steps; without one each wave flushes itself.
+  /// optimization happens this session. With `pool` (built over this
+  /// LingXi's predictor), Monte Carlo exit queries park there under
+  /// (user_tag, rollout, segment) for a fleet-wide flush between steps;
+  /// without one each wave flushes itself.
   std::unique_ptr<OptimizationRun> begin_optimization(
       abr::AbrAlgorithm& abr, Seconds current_buffer, Rng& rng,
       predictor::ExitQueryPool* pool = nullptr, std::uint32_t user_tag = 0);
@@ -180,13 +181,10 @@ class LingXi {
   /// Run one OBO round to completion if triggered. `abr` is the live
   /// algorithm: used as the rollout prototype and updated in place with the
   /// optimized parameters. `current_buffer` seeds the virtual player.
-  /// Returns the new parameters when an optimization ran. `pool`, when
-  /// given, scopes the predictor flushes (for batching telemetry) without
-  /// changing any result.
+  /// Returns the new parameters when an optimization ran. Each wave flushes
+  /// its own parked queries (no pool).
   std::optional<abr::QoeParams> maybe_optimize(abr::AbrAlgorithm& abr,
-                                               Seconds current_buffer, Rng& rng,
-                                               predictor::ExitQueryPool* pool = nullptr,
-                                               std::uint32_t user_tag = 0);
+                                               Seconds current_buffer, Rng& rng);
 
   /// -- state ---------------------------------------------------------------
   const abr::QoeParams& current_params() const noexcept { return current_params_; }

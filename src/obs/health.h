@@ -20,7 +20,7 @@
 //
 // Rules over deterministic metrics (the `sim.fleet.*` gauges) inherit the
 // determinism contract: the same rule fires on the same fleet day in every
-// cell of the scheduler x threads x shard x batch grid and across a
+// cell of the threads x shard x batch grid and across a
 // kill/resume splice (pinned in tests/test_properties.cpp).
 //
 // Like Registry and TimelineWriter, the monitor is a runtime-nullable

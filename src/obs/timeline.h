@@ -13,8 +13,8 @@
 //     from the merged FleetAccumulator (`sim.fleet.*` except
 //     `sim.fleet.sessions_per_sec`; see timeline_deterministic()). These are
 //     pure functions of (config, seed, day), so the section's bytes are
-//     bitwise identical across scheduler mode x threads x users_per_shard x
-//     predictor_batch AND across checkpoint/kill/resume splices — the
+//     bitwise identical across threads x users_per_shard x Monte Carlo wave
+//     width AND across checkpoint/kill/resume splices — the
 //     ObservabilityParity contract extended onto disk, pinned by the
 //     DeterministicTimeline grid in tests/test_properties.cpp;
 //   * a WALL-CLOCK section — everything else in the registry (latency

@@ -121,6 +121,19 @@ HybridExitPredictor::ExitQuery PredictorExitModel::prepare(const sim::SegmentRec
   return {&state_, segment.level, segment.stall_time, sw};
 }
 
+BatchPredictorExitEvaluator::BatchPredictorExitEvaluator(const HybridExitPredictor& predictor,
+                                                         const EngagementState& seed_state,
+                                                         Seconds segment_duration,
+                                                         ExitQueryPool* pool,
+                                                         std::uint32_t user_tag)
+    : predictor_(predictor),
+      seed_state_(seed_state),
+      segment_duration_(segment_duration),
+      pool_(pool),
+      user_tag_(user_tag) {
+  LINGXI_ASSERT(pool_ == nullptr || &pool_->predictor() == &predictor_);
+}
+
 std::unique_ptr<sim::ExitModel> BatchPredictorExitEvaluator::make_model() const {
   // Rollout tags count up in make_model() order — rollout order, which is
   // deterministic — so a parked query's (user, rollout, segment) key names
@@ -141,8 +154,7 @@ bool BatchPredictorExitEvaluator::prepare(sim::ExitModel& model,
   }
   if (pool_ != nullptr) {
     tickets_.push_back(pool_->park(
-        predictor_, query,
-        {user_tag_, exit_model.rollout_tag(), static_cast<std::uint32_t>(segment.index)}));
+        query, {user_tag_, exit_model.rollout_tag(), static_cast<std::uint32_t>(segment.index)}));
   } else {
     scratch_.queries.push_back(query);
   }
@@ -180,17 +192,16 @@ void BatchPredictorExitEvaluator::discard_parked() const {
   scratch_.queries.clear();
 }
 
-std::size_t ExitQueryPool::park(const HybridExitPredictor& predictor,
-                                const HybridExitPredictor::ExitQuery& query,
-                                QueryTag tag) {
+std::size_t ExitQueryPool::park(const HybridExitPredictor::ExitQuery& query, QueryTag tag) {
   LINGXI_DASSERT(query.state != nullptr);
-  pending_.push_back(Entry{query, &predictor, tag});
+  LINGXI_DASSERT(query.stall_time > HybridExitPredictor::kNnStallThreshold);
+  pending_.push_back(Entry{query, tag});
   return pending_.size() - 1;
 }
 
 void ExitQueryPool::discard(std::size_t ticket) {
   LINGXI_ASSERT(ticket < pending_.size());
-  pending_[ticket].predictor = nullptr;
+  pending_[ticket].discarded = true;
 }
 
 double ExitQueryPool::prob(std::size_t ticket) const {
@@ -213,7 +224,7 @@ void ExitQueryPool::flush() {
     std::vector<std::uint64_t> keys;
     keys.reserve(pending_.size());
     for (const Entry& entry : pending_) {
-      if (entry.predictor == nullptr) continue;
+      if (entry.discarded) continue;
       keys.push_back((static_cast<std::uint64_t>(entry.tag.user) << 32) |
                      entry.tag.rollout);
     }
@@ -222,71 +233,30 @@ void ExitQueryPool::flush() {
   }
 #endif
 
-  // Group pending queries per net (stable first-seen order; park order
-  // within a group). One shard usually holds one net — every user shares
-  // the shard predictor's copy — so this is typically a single group; it
-  // stays correct when users carry genuinely private (fine-tuned) nets.
-  // groups_ entries persist across flushes (only the first `group_count`
-  // are live) so the member index vectors keep their capacity.
-  std::size_t group_count = 0;
+  // Gather the live queries in park order (pruning may have discarded some)
+  // and evaluate them as one batched forward.
+  live_.clear();
+  scratch_.queries.clear();
   for (std::size_t i = 0; i < pending_.size(); ++i) {
-    const Entry& entry = pending_[i];
-    if (entry.predictor == nullptr) continue;  // discarded by pruning
-    const StallExitNet* net = &entry.predictor->net();
-    NetGroup* group = nullptr;
-    for (std::size_t g = 0; g < group_count; ++g) {
-      if (groups_[g].net == net) {
-        group = &groups_[g];
-        break;
-      }
-    }
-    if (group == nullptr) {
-      if (group_count == groups_.size()) groups_.emplace_back();
-      group = &groups_[group_count++];
-      group->net = net;
-      group->members.clear();
-    }
-    group->members.push_back(i);
+    if (pending_[i].discarded) continue;
+    live_.push_back(i);
+    scratch_.queries.push_back(pending_[i].query);
   }
-
-  constexpr std::size_t kFeatureLen = kChannels * kHistoryLen;
-  std::uint64_t evaluated = 0;
-  std::uint64_t batches = 0;
-  for (std::size_t g = 0; g < group_count; ++g) {
-    NetGroup& group = groups_[g];
-    // Gather the group's feature matrix and run one batched forward. Every
-    // parked query is a stalled one (prepare() resolves sub-perceptual
-    // stalls inline), so each row needs the net.
-    features_.resize(group.members.size() * kFeatureLen);
-    for (std::size_t j = 0; j < group.members.size(); ++j) {
-      const Entry& entry = pending_[group.members[j]];
-      LINGXI_DASSERT(entry.query.stall_time > HybridExitPredictor::kNnStallThreshold);
-      entry.query.state->write_features(features_.data() + j * kFeatureLen);
-    }
-    nn_terms_.resize(group.members.size());
-    group.net->predict_batch({features_.data(), group.members.size(), kFeatureLen},
-                             nn_terms_.data(), &ws_);
-    // Per-query tail through the query's own predictor (OS lookup + blend),
-    // bitwise identical to HybridExitPredictor::predict_batch.
-    for (std::size_t j = 0; j < group.members.size(); ++j) {
-      const Entry& entry = pending_[group.members[j]];
-      probs_[group.members[j]] = entry.predictor->finish_stalled(entry.query, nn_terms_[j]);
-    }
-    evaluated += group.members.size();
-    ++stats_.net_batches;
-    ++batches;
-  }
+  const std::size_t evaluated = live_.size();
   if (evaluated > 0) {
+    live_probs_.resize(evaluated);
+    predictor_.predict_batch(evaluated, scratch_.queries.data(), live_probs_.data(),
+                             &scratch_);
+    for (std::size_t j = 0; j < evaluated; ++j) probs_[live_[j]] = live_probs_[j];
     ++stats_.flushes;
     stats_.queries += evaluated;
-    stats_.max_flush = std::max(stats_.max_flush, evaluated);
+    stats_.max_flush = std::max<std::uint64_t>(stats_.max_flush, evaluated);
     // Fleet-wide registry view of the same counters the per-run
     // FleetRunStats struct reports (that struct stays the per-run API;
     // the registry aggregates across runners, legs and threads).
     if (obs::Registry* reg = obs::Registry::active()) {
       reg->add("predictor.pool.flushes");
       reg->add("predictor.pool.queries", evaluated);
-      reg->add("predictor.pool.net_batches", batches);
       reg->observe("predictor.pool.flush_rows", obs::HistogramSpec::rows(),
                    static_cast<double>(evaluated));
     }

@@ -79,8 +79,7 @@ class HybridExitPredictor {
   double predict(const ExitQuery& query, BatchScratch* scratch = nullptr) const;
   /// Finish a stalled query given its net output — the per-query tail of
   /// predict_batch (OS lookup + blend), bitwise identical to it. Exposed so
-  /// ExitQueryPool can batch net forwards across predictors that share a net
-  /// while every query's OS/blend still runs through its own predictor.
+  /// parity tests can put the training forward through the same tail.
   double finish_stalled(const ExitQuery& query, double nn_term) const;
   /// Batched predict over `count` queries: the stalled queries' features are
   /// gathered into one matrix and their net forwards run as a single
@@ -149,14 +148,12 @@ class PredictorExitModel final : public sim::ExitModel {
 ///
 /// Concurrent Monte Carlo evaluations (different users, different
 /// candidates) park queries here instead of flushing per evaluation; one
-/// flush() then evaluates everything parked since the previous flush.
-/// Because treatment users may own private nets, a flush sub-batches per
-/// net: queries are grouped by the net they must be evaluated under (stable
-/// first-seen order, park order within a group), each group runs as one
-/// StallExitNet::predict_batch, and each query's OS/blend tail runs through
-/// its own predictor. Per-row forwards are bitwise independent of batch
-/// composition, so pooling across users changes no result bit — only how
-/// many rows each forward amortizes weight streaming over.
+/// flush() then evaluates everything parked since the previous flush as a
+/// single HybridExitPredictor::predict_batch under the pool's predictor —
+/// the run's one shared predictor, which every user's LingXi borrows. Per-row
+/// forwards are bitwise independent of batch composition, so pooling across
+/// users changes no result bit — only how many rows each forward amortizes
+/// weight streaming over.
 ///
 /// Tickets: park() returns a ticket valid until the next flush() after that
 /// flush()'s probabilities have been superseded — i.e. each parked ticket
@@ -179,44 +176,44 @@ class ExitQueryPool {
   struct Stats {
     std::uint64_t flushes = 0;       ///< flush() calls with >= 1 query
     std::uint64_t queries = 0;       ///< stalled queries evaluated
-    std::uint64_t net_batches = 0;   ///< per-net predict_batch calls
     std::uint64_t max_flush = 0;     ///< largest single flush
   };
 
-  /// Park one stalled query to be evaluated under `predictor`'s net at the
-  /// next flush(). The query's state pointer must stay valid until then.
-  std::size_t park(const HybridExitPredictor& predictor,
-                   const HybridExitPredictor::ExitQuery& query, QueryTag tag);
+  /// Every parked query is evaluated under `predictor`, which must outlive
+  /// the pool.
+  explicit ExitQueryPool(const HybridExitPredictor& predictor) : predictor_(predictor) {}
+
+  /// Park one stalled query for the next flush(). The query's state pointer
+  /// must stay valid until then.
+  std::size_t park(const HybridExitPredictor::ExitQuery& query, QueryTag tag);
   /// Drop a pending ticket unevaluated (its rollout was abandoned by
   /// pruning). The slot is skipped at flush time.
   void discard(std::size_t ticket);
-  /// Evaluate every pending query (per-net sub-batches), publish their
+  /// Evaluate every pending query as one batched forward, publish their
   /// probabilities for prob(), and clear the pending set.
   void flush();
   /// Probability for a ticket parked before the most recent flush().
   double prob(std::size_t ticket) const;
 
+  const HybridExitPredictor& predictor() const noexcept { return predictor_; }
   std::size_t pending() const noexcept { return pending_.size(); }
   const Stats& stats() const noexcept { return stats_; }
 
  private:
   struct Entry {
     HybridExitPredictor::ExitQuery query;
-    const HybridExitPredictor* predictor = nullptr;  ///< null = discarded
     QueryTag tag;
+    bool discarded = false;
   };
 
+  const HybridExitPredictor& predictor_;
   std::vector<Entry> pending_;
   std::vector<double> probs_;
-  // flush() scratch, reused across flushes.
-  struct NetGroup {
-    const StallExitNet* net = nullptr;
-    std::vector<std::size_t> members;  ///< pending_ indices, park order
-  };
-  std::vector<NetGroup> groups_;
-  std::vector<double> features_;
-  std::vector<double> nn_terms_;
-  StallExitNet::BatchWorkspace ws_;
+  // flush() scratch, reused across flushes: the live tickets in park order,
+  // their probabilities, and predict_batch's staging (queries included).
+  std::vector<std::size_t> live_;
+  std::vector<double> live_probs_;
+  HybridExitPredictor::BatchScratch scratch_;
   Stats stats_;
 };
 
@@ -234,19 +231,17 @@ class ExitQueryPool {
 ///   * pooled: parked queries go to a shared ExitQueryPool under the
 ///     (user, rollout, segment) key, the pool owner flushes once per
 ///     scheduler wave across ALL users' evaluations, and flush() here just
-///     collects this evaluator's probabilities in park order.
+///     collects this evaluator's probabilities in park order. The pool
+///     evaluates under its own predictor, so `predictor` must be that very
+///     object (asserted at construction): a pool built for another predictor
+///     fails loudly instead of blending under another config.
 /// Both scopes are bitwise identical per query. The referenced predictor,
 /// seed state and pool must outlive the evaluator.
 class BatchPredictorExitEvaluator final : public sim::BatchExitEvaluator {
  public:
   BatchPredictorExitEvaluator(const HybridExitPredictor& predictor,
                               const EngagementState& seed_state, Seconds segment_duration,
-                              ExitQueryPool* pool = nullptr, std::uint32_t user_tag = 0)
-      : predictor_(predictor),
-        seed_state_(seed_state),
-        segment_duration_(segment_duration),
-        pool_(pool),
-        user_tag_(user_tag) {}
+                              ExitQueryPool* pool = nullptr, std::uint32_t user_tag = 0);
 
   std::unique_ptr<sim::ExitModel> make_model() const override;
   /// Non-stalled segments resolve inline through the OS-only path; stalled

@@ -20,7 +20,7 @@
 //
 // Determinism contract: the script is part of FleetConfig, and every event
 // effect derives only from (seed, user, day) — never from thread identity,
-// scheduler mode, shard size or batch composition. Scenario-on runs are
+// shard size or batch composition. Scenario-on runs are
 // therefore bitwise identical across the whole scheduling grid, and an
 // EMPTY script is byte-for-byte the unscripted run (the runner takes the
 // exact pre-scenario code paths when empty()). Replacement arrivals get

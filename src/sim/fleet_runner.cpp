@@ -188,7 +188,6 @@ std::uint32_t FleetAccumulator::checksum() const {
 void FleetRunStats::merge(const FleetRunStats& other) noexcept {
   pool_flushes += other.pool_flushes;
   pool_queries += other.pool_queries;
-  pool_net_batches += other.pool_net_batches;
   pool_max_flush = std::max(pool_max_flush, other.pool_max_flush);
 }
 
@@ -196,12 +195,6 @@ double FleetRunStats::mean_flush_occupancy() const noexcept {
   return pool_flushes == 0 ? 0.0
                            : static_cast<double>(pool_queries) /
                                  static_cast<double>(pool_flushes);
-}
-
-double FleetRunStats::mean_net_batch() const noexcept {
-  return pool_net_batches == 0 ? 0.0
-                               : static_cast<double>(pool_queries) /
-                                     static_cast<double>(pool_net_batches);
 }
 
 FleetRunner::FleetRunner(FleetConfig config, AbrFactory abr_factory)
@@ -215,9 +208,6 @@ FleetRunner::FleetRunner(FleetConfig config, AbrFactory abr_factory)
   // honour that for the 0 edge too by clamping it to the smallest
   // well-defined granularity instead of dividing by zero downstream.
   if (config_.users_per_shard == 0) config_.users_per_shard = 1;
-  if (config_.predictor_batch > 0) {
-    config_.lingxi.monte_carlo.batch_size = config_.predictor_batch;
-  }
   if (!config_.scenario.empty()) {
     const Status valid = config_.scenario.validate(config_.users, config_.days);
     LINGXI_ASSERT(valid.ok());
@@ -496,18 +486,18 @@ FleetAccumulator FleetRunner::run_days_leg(
 }
 
 // ---------------------------------------------------------------------------
-// ShardScheduler: per-user and cross-user wave schedules over one task type.
+// ShardScheduler: cross-user waves of pausable per-user tasks.
 // ---------------------------------------------------------------------------
 
 /// One user's simulation as a pausable task — THE per-user simulation
-/// implementation, driven by both schedules. step() runs the user forward —
+/// implementation. step() runs the user forward —
 /// live sessions inline (they never touch the exit predictor; user-model
 /// exits resolve immediately) — and returns false whenever the user's LingXi
 /// optimization parks stalled predictor queries in the pool; the next
 /// step() resumes it after the pool flush. Without a pool (or when nothing
 /// triggers), step() runs the whole user in one call. Every random draw
 /// comes from (seed, user, day, session) streams only, so results cannot
-/// depend on which schedule drives the task.
+/// depend on how the shard interleaves its tasks.
 class ShardScheduler::UserTask {
  public:
   /// Runs days [first_day, stop_day). `resume`, when non-null, is the
@@ -862,8 +852,9 @@ ShardScheduler::ShardScheduler(const FleetRunner& runner, const FleetWorld& worl
       last_day_(last_day),
       resume_(resume),
       out_state_(out_state),
-      pool_(std::make_unique<predictor::ExitQueryPool>()),
       predictor_(predictor),
+      pool_(predictor != nullptr ? std::make_unique<predictor::ExitQueryPool>(*predictor)
+                                 : nullptr),
       day_totals_(day_totals) {
   LINGXI_ASSERT(first_user_ <= last_user_);
   LINGXI_ASSERT(first_day_ < last_day_);
@@ -873,33 +864,8 @@ ShardScheduler::ShardScheduler(const FleetRunner& runner, const FleetWorld& worl
 ShardScheduler::~ShardScheduler() = default;
 
 void ShardScheduler::run() {
-  if (runner_.config().scheduler == SchedulerMode::kCohortWaves) {
-    run_cohort();
-  } else {
-    run_per_user();
-  }
-}
-
-void ShardScheduler::run_per_user() {
-  // Batches stay scoped to one optimization: a single task is in flight, so
-  // every pooled flush holds exactly one wave of one user's rollouts (one
-  // query per flush at batch 1). The task parks only on the pool, so every
-  // flush below has queries to evaluate.
-  for (std::size_t u = first_user_; u < last_user_; ++u) {
-    UserTask task(runner_, world_, seed_, u, acc_, predictor_, pool_.get(), first_day_,
-                  last_day_, resume_ != nullptr ? &resume_->users[u] : nullptr, day_totals_);
-    while (!task.step()) {
-      OBS_SPAN("wave.flush");
-      OBS_TIMED("sim.wave.flush_us");
-      pool_->flush();
-    }
-    if (out_state_ != nullptr) task.export_state(out_state_->users[u]);
-  }
-}
-
-void ShardScheduler::run_cohort() {
   // The shard's users share the run's predictor (each user's LingXi borrows
-  // it), so one pooled flush evaluates the whole shard as one net sub-batch.
+  // it), so one pooled flush evaluates the whole shard as one forward.
   std::vector<std::unique_ptr<UserTask>> tasks;
   tasks.reserve(last_user_ - first_user_);
   for (std::size_t u = first_user_; u < last_user_; ++u) {
@@ -943,8 +909,9 @@ void ShardScheduler::run_cohort() {
 }
 
 FleetRunStats ShardScheduler::stats() const {
+  if (pool_ == nullptr) return {};
   const auto& ps = pool_->stats();
-  return FleetRunStats{ps.flushes, ps.queries, ps.net_batches, ps.max_flush};
+  return FleetRunStats{ps.flushes, ps.queries, ps.max_flush};
 }
 
 }  // namespace lingxi::sim

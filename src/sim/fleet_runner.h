@@ -16,21 +16,20 @@
 // Hence the merged result is bitwise identical at 1, 4 or 64 threads, which
 // is what makes the parallel fleet usable for paired A/B comparisons.
 //
-// Within a shard, two execution schedules exist (FleetConfig::scheduler):
-//   * kPerUser — users run one after another, whole simulation each; LingXi
-//     predictor batches are scoped to one optimization (the PR 3 shape);
-//   * kCohortWaves — every user of the shard advances as a pausable task
-//     (ShardScheduler below): live sessions run inline, and whenever a
-//     user's Monte Carlo optimization stalls on exit-predictor queries the
-//     task parks and the next user runs. Between waves one pooled flush
-//     (predictor::ExitQueryPool) evaluates every parked query across ALL
-//     the shard's users — rollouts of different users and candidates — as
-//     per-net sub-batches, so batch occupancy is bounded by the shard's
-//     concurrent optimizations instead of a single user's rollouts.
-// Both schedules produce bitwise-identical FleetAccumulator checksums and
-// telemetry archive bytes: per-user state (rng streams, OBO, engagement) is
-// task-private, predictor forwards are bitwise independent of batch
-// composition, the accumulator is integer, and telemetry buffers per user.
+// Within a shard, every user advances as a pausable task in cohort waves
+// (ShardScheduler below): live sessions run inline, and whenever a user's
+// Monte Carlo optimization stalls on exit-predictor queries the task parks
+// and the next user runs. Between waves one pooled flush
+// (predictor::ExitQueryPool) evaluates every parked query across ALL the
+// shard's users — rollouts of different users and candidates — as one
+// batched forward, so batch occupancy is bounded by the shard's concurrent
+// optimizations instead of a single user's rollouts. users_per_shard = 1 is
+// the per-optimization schedule: one task in flight, each flush one wave of
+// one user's rollouts. Every shard size produces bitwise-identical
+// FleetAccumulator checksums and telemetry archive bytes: per-user state
+// (rng streams, OBO, engagement) is task-private, predictor forwards are
+// bitwise independent of batch composition, the accumulator is integer, and
+// telemetry buffers per user.
 #pragma once
 
 #include <cstdint>
@@ -145,32 +144,19 @@ struct FleetAccumulator {
   std::uint32_t checksum() const;
 };
 
-/// How a worker executes the users of one shard. Purely a scheduling knob:
-/// both modes produce bitwise-identical results (checksums AND telemetry
-/// bytes) — the property test grid asserts it.
-enum class SchedulerMode {
-  /// One user at a time, whole simulation each; predictor batches are
-  /// scoped to a single optimization (the per-optimization baseline).
-  kPerUser,
-  /// Cross-user wave scheduler: all users of the shard advance as pausable
-  /// tasks and stalled exit-predictor queries pool into one fleet-wide
-  /// flush per wave (see ShardScheduler).
-  kCohortWaves,
-};
-
 /// Batching telemetry for one FleetRunner::run — deliberately OUTSIDE
-/// FleetAccumulator: occupancy depends on the schedule, and the accumulator
-/// checksum must not.
+/// FleetAccumulator: occupancy depends on the shard size, and the
+/// accumulator checksum must not.
 struct FleetRunStats {
   std::uint64_t pool_flushes = 0;      ///< pooled flushes with >= 1 query
   std::uint64_t pool_queries = 0;      ///< stalled queries batch-evaluated
-  std::uint64_t pool_net_batches = 0;  ///< per-net predict_batch calls
   std::uint64_t pool_max_flush = 0;    ///< largest single flush
   void merge(const FleetRunStats& other) noexcept;
   /// Mean stalled queries evaluated per pooled flush (batch occupancy).
   double mean_flush_occupancy() const noexcept;
-  /// Mean rows per net forward (after per-net sub-batching).
-  double mean_net_batch() const noexcept;
+  /// Mean rows per net forward. Every flush is one forward, so this equals
+  /// mean_flush_occupancy(); kept under the benchmark's metric name.
+  double mean_net_batch() const noexcept { return mean_flush_occupancy(); }
 };
 
 /// Evolving per-user state at a day boundary — everything a resumed run
@@ -211,15 +197,13 @@ struct FleetConfig {
   std::size_t warmup_sessions = 0;
   /// Worker pool size; 0 = std::thread::hardware_concurrency().
   std::size_t threads = 1;
-  /// Shard granularity in users. Purely a scheduling knob: results are
+  /// Shard granularity in users — the one dispatch setting. Results are
   /// identical for any value (0 is clamped to 1 at construction; values
   /// beyond the fleet size behave as one whole-fleet shard); smaller shards
   /// balance heterogeneous users better, larger shards amortize per-shard
-  /// setup and — under kCohortWaves — pool more users per predictor flush.
+  /// setup and pool more users per predictor flush. 1 is the
+  /// per-optimization schedule (each flush holds one user's wave).
   std::size_t users_per_shard = 8;
-  /// Shard execution schedule; results are identical in both modes, and
-  /// in both every optimizer fit runs inline on the shard's worker thread.
-  SchedulerMode scheduler = SchedulerMode::kCohortWaves;
   /// Treatment switch: run LingXi per user (config `lingxi`) vs pinning
   /// `fixed_params` on the ABR.
   bool enable_lingxi = false;
@@ -231,13 +215,6 @@ struct FleetConfig {
   std::size_t intervention_day = 0;
   /// Day-to-day tolerance drift for data-driven users (§2.3).
   bool drift_user_tolerance = false;
-  /// Batched-inference knob: wave width for LingXi's Monte Carlo rollouts —
-  /// per optimization, up to this many candidate sessions advance together
-  /// and their predictor forwards run as one batch (1 = one rollout at a
-  /// time, 1-row forwards). 0 keeps `lingxi.monte_carlo.batch_size` as
-  /// configured; any value yields a bitwise-identical fleet checksum
-  /// (asserted by tests/test_properties.cpp).
-  std::size_t predictor_batch = 0;
   /// Lognormal sigma jittering each session's mean bandwidth around the
   /// user's profile (cellular commute vs home Wi-Fi); 0 disables.
   double session_jitter_sigma = 0.0;
@@ -251,8 +228,8 @@ struct FleetConfig {
   /// session curves, flash-crowd arrivals, churn and cohort overrides, all
   /// pure functions of (user, day). An empty script (the default) is
   /// byte-for-byte the unscripted run; a non-empty script still satisfies
-  /// the full bitwise contract across scheduler / threads / shard size /
-  /// batch AND across checkpoint splices, and it is part of the telemetry
+  /// the full bitwise contract across threads / shard size / wave width
+  /// AND across checkpoint splices, and it is part of the telemetry
   /// config digest so archives and snapshots pin the script they ran.
   scenario::ScenarioScript scenario;
 };
@@ -289,7 +266,7 @@ class FleetRunner {
   /// shares the returned predictor and its net. That is safe because
   /// inference is const (no layer caches are written) and pure per row, so
   /// sharing changes no result bit while letting one flush serve a whole
-  /// shard as a single net sub-batch. The net must not be trained while a
+  /// shard as a single batched forward. The net must not be trained while a
   /// run reads it. The factory must be pure configuration: every call must
   /// return an equivalent predictor (same weights, same OS model, same blend
   /// config), or runs split across run_days() calls (snapshot/resume) would
@@ -311,7 +288,7 @@ class FleetRunner {
   void set_checkpoint_hook(CheckpointHook hook, std::size_t every_k_days);
 
   /// Simulate the whole fleet. Bitwise-deterministic for a given seed,
-  /// independent of `config().threads` (and of `config().scheduler`).
+  /// independent of `config().threads` (and of `config().users_per_shard`).
   /// `stats`, when non-null, receives the merged batching telemetry.
   FleetAccumulator run(std::uint64_t seed, FleetRunStats* stats = nullptr) const;
 
@@ -327,8 +304,8 @@ class FleetRunner {
   ///     last_day (including the merged accumulator so far) for a later
   ///     resume or a disk snapshot.
   ///
-  /// Contract (pinned by tests/test_properties.cpp across the scheduler x
-  /// threads x users_per_shard x predictor_batch grid): splitting a run at
+  /// Contract (pinned by tests/test_properties.cpp across the threads x
+  /// users_per_shard x wave-width grid): splitting a run at
   /// any day boundary and resuming — in-process or through a disk snapshot —
   /// yields a bitwise-identical FleetAccumulator AND, with a restored
   /// ShardedCapture attached, bitwise-identical telemetry archive bytes.
@@ -377,22 +354,18 @@ class FleetRunner {
   std::size_t checkpoint_every_k_days_ = 0;
 };
 
-/// Executes the users of one shard under the configured SchedulerMode. Both
-/// schedules drive the same pausable per-user task (UserTask — there is ONE
-/// implementation of per-user simulation, so schedule parity is structural,
-/// not maintained by hand):
+/// Executes the users of one shard in cohort waves. Each user is a pausable
+/// task (UserTask, the one implementation of per-user simulation): live
+/// sessions simulate inline, LingXi optimizations run until each Monte Carlo
+/// rollout parks a stalled exit query in the shard's ExitQueryPool, then the
+/// next user runs; one pooled flush per wave serves every parked query
+/// across users, candidates and rollouts as one batched forward. A
+/// one-user shard keeps a single task in flight, so its flushes stay scoped
+/// to one optimization (one wave of one user's rollouts).
 ///
-///   * kPerUser: one task at a time, driven to completion; flushes stay
-///     scoped to one optimization (one wave of one user's rollouts);
-///   * kCohortWaves: every task advances in waves — live sessions simulate
-///     inline, LingXi optimizations run until each Monte Carlo rollout
-///     parks a stalled exit query in the shared ExitQueryPool, then the
-///     next user runs; one pooled flush per wave serves every parked query
-///     across users, candidates and rollouts, sub-batched per net.
-///
-/// Under both schedules each optimizer fit (GP update plus the next
-/// acquisition sweep) runs inline inside its user's task step, on the
-/// shard's worker thread, the moment the user's Monte Carlo round completes
+/// Each optimizer fit (GP update plus the next acquisition sweep) runs
+/// inline inside its user's task step, on the shard's worker thread, the
+/// moment the user's Monte Carlo round completes
 /// (core::LingXi::OptimizationRun::step()); a task parks only on predictor
 /// queries, so every flush has queries to evaluate.
 ///
@@ -400,7 +373,7 @@ class FleetRunner {
 /// batch composition — is a pure function of (config, seed, shard range):
 /// replays are deterministic. Per-user outcomes cannot depend on the
 /// interleaving at all (task state is private; forwards are pure), which is
-/// what keeps cohort results bitwise equal to the per-user schedule.
+/// what keeps results bitwise equal at every shard size.
 /// One ShardScheduler is driven by exactly one worker thread.
 class ShardScheduler {
  public:
@@ -427,16 +400,13 @@ class ShardScheduler {
   ShardScheduler(const ShardScheduler&) = delete;
   ShardScheduler& operator=(const ShardScheduler&) = delete;
 
-  /// Drive every user of the shard to completion under the configured mode.
+  /// Drive every user of the shard to completion.
   void run();
   /// Pool batching telemetry accumulated so far.
   FleetRunStats stats() const;
 
  private:
   class UserTask;
-
-  void run_per_user();
-  void run_cohort();
 
   const FleetRunner& runner_;
   const FleetWorld& world_;
@@ -448,9 +418,10 @@ class ShardScheduler {
   std::size_t last_day_;
   const FleetDayState* resume_;
   FleetDayState* out_state_;
-  std::unique_ptr<predictor::ExitQueryPool> pool_;
   /// The run's shared predictor; null when LingXi is disabled.
   const predictor::HybridExitPredictor* predictor_;
+  /// Flush plane over predictor_; null when LingXi is disabled.
+  std::unique_ptr<predictor::ExitQueryPool> pool_;
   /// Per-day accumulator slots for this shard (leg-relative, size
   /// last_day_ - first_day_); null when no per-day observation is wanted.
   FleetAccumulator* day_totals_;

@@ -63,7 +63,7 @@ class MonteCarloEvaluator {
   /// batch_size (SessionStepper) and the exit predictor is evaluated once per
   /// step as a batch across the wave. Every width returns bitwise-identical
   /// results and leaves `rng` in the same state — the contract behind the
-  /// fleet's checksum identity across predictor_batch. Pruning follows the
+  /// fleet's checksum identity across batch_size. Pruning follows the
   /// per-rollout replay order at every width; a wave merely cannot stop
   /// mid-wave, so wider waves trade some pruned-away work for batched
   /// forwards without changing any reported number. A convenience driver

@@ -14,8 +14,8 @@
 // the merged archive bytes — cannot observe the interleaving.
 //
 // Consequently the archive bytes depend only on (fleet config, seed, archive
-// users_per_shard) — never on the thread count, the runner's scheduling
-// shard size, or the scheduler mode. That is what lets one capture serve any
+// users_per_shard) — never on the thread count or the runner's scheduling
+// shard size. That is what lets one capture serve any
 // number of replays as the ground truth for paired comparisons.
 #pragma once
 

@@ -71,10 +71,10 @@ std::function<predictor::HybridExitPredictor()> predictor_factory() {
   };
 }
 
-std::string run_tiny_fig13(std::size_t threads, std::size_t predictor_batch) {
+std::string run_tiny_fig13(std::size_t threads, std::size_t batch) {
   analytics::ExperimentConfig cfg = tiny_config();
   cfg.threads = threads;
-  cfg.predictor_batch = predictor_batch;
+  cfg.lingxi.monte_carlo.batch_size = batch;
   const analytics::PopulationExperiment experiment(
       cfg, [] { return std::make_unique<abr::Hyb>(); }, predictor_factory());
   return analytics::to_json(analytics::run_fig13(experiment, kSeed));
@@ -104,7 +104,7 @@ std::vector<double> numbers_in(const std::string& text) {
 }
 
 TEST(Fig13Regression, MatchesCommittedGolden) {
-  const std::string actual = run_tiny_fig13(/*threads=*/1, /*predictor_batch=*/1);
+  const std::string actual = run_tiny_fig13(/*threads=*/1, /*batch=*/1);
 
   if (std::getenv("LINGXI_REGEN_FIG13_GOLDEN") != nullptr) {
     std::ofstream out(golden_path(), std::ios::trunc);
@@ -133,8 +133,8 @@ TEST(Fig13Regression, MatchesCommittedGolden) {
 }
 
 TEST(Fig13Regression, IndependentOfThreadsAndBatch) {
-  const std::string scalar = run_tiny_fig13(/*threads=*/1, /*predictor_batch=*/1);
-  const std::string batched = run_tiny_fig13(/*threads=*/2, /*predictor_batch=*/7);
+  const std::string scalar = run_tiny_fig13(/*threads=*/1, /*batch=*/1);
+  const std::string batched = run_tiny_fig13(/*threads=*/2, /*batch=*/7);
   // Byte-identical JSON: the figure cannot depend on throughput knobs.
   EXPECT_EQ(scalar, batched);
 }

@@ -484,10 +484,10 @@ std::function<predictor::HybridExitPredictor()> golden_predictor_factory() {
   };
 }
 
-std::string run_scenario_report(std::size_t threads, std::size_t predictor_batch) {
+std::string run_scenario_report(std::size_t threads, std::size_t batch) {
   analytics::ExperimentConfig cfg = golden_config();
   cfg.threads = threads;
-  cfg.predictor_batch = predictor_batch;
+  cfg.lingxi.monte_carlo.batch_size = batch;
   const analytics::PopulationExperiment experiment(
       cfg, [] { return std::make_unique<abr::Hyb>(); }, golden_predictor_factory());
   const analytics::ExperimentResult control = experiment.run(false, kGoldenSeed);
@@ -526,7 +526,7 @@ std::vector<double> numbers_in(const std::string& text) {
 }
 
 TEST(ScenarioGolden, MatchesCommittedGolden) {
-  const std::string actual = run_scenario_report(/*threads=*/1, /*predictor_batch=*/1);
+  const std::string actual = run_scenario_report(/*threads=*/1, /*batch=*/1);
 
   if (std::getenv("LINGXI_REGEN_SCENARIO_GOLDEN") != nullptr) {
     std::ofstream out(golden_path(), std::ios::trunc);
@@ -555,8 +555,8 @@ TEST(ScenarioGolden, MatchesCommittedGolden) {
 }
 
 TEST(ScenarioGolden, IndependentOfThreadsAndBatch) {
-  const std::string scalar = run_scenario_report(/*threads=*/1, /*predictor_batch=*/1);
-  const std::string batched = run_scenario_report(/*threads=*/2, /*predictor_batch=*/7);
+  const std::string scalar = run_scenario_report(/*threads=*/1, /*batch=*/1);
+  const std::string batched = run_scenario_report(/*threads=*/2, /*batch=*/7);
   // Byte-identical JSON: the report cannot depend on throughput knobs.
   EXPECT_EQ(scalar, batched);
 }

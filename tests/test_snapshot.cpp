@@ -2,8 +2,8 @@
 // OBO, per-user fleet state), on-disk snapshot round trips, corruption and
 // compatibility rejection, and bitwise resume parity — in process and
 // through a saved snapshot directory, accumulator checksums and telemetry
-// archive bytes alike. The full (scheduler x threads x users_per_shard x
-// predictor_batch) parity grid lives in test_properties.cpp.
+// archive bytes alike. The full (threads x users_per_shard x Monte Carlo
+// batch) parity grid lives in test_properties.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
