@@ -2,10 +2,10 @@
 // committed baseline (bench/baseline.json) and exits non-zero on a
 // regression past the per-check threshold — CI's run-to-run perf signal.
 //
-// Usage:
-//   bench_compare --baseline bench/baseline.json \
-//     --input fleet_scaling=out/fleet_scaling.json \
-//     [--input fig12=out/fig12.json ...]
+// Usage (one command line, wrapped here):
+//   bench_compare --baseline bench/baseline.json
+//                 --input fleet_scaling=out/fleet_scaling.json
+//                 [--input fig12=out/fig12.json ...]
 //
 // Checks read dimensionless ratios (metric / divide_by measured in the same
 // process) so the committed baseline values transfer across machines; see

@@ -1,8 +1,9 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected).
 //
-// Used by lingxi::logstore to checksum persisted state records so corrupt
-// or truncated files are detected at load time instead of poisoning the
-// per-user personalization state.
+// Checksums every persisted binary format (the codec::Frame records of
+// common/codec.h, nn blobs, snapshot files) so corrupt or truncated files are
+// detected at load time instead of poisoning the per-user personalization
+// state.
 #pragma once
 
 #include <cstddef>

@@ -5,132 +5,9 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
-#include "common/crc32.h"
-
 namespace lingxi::logstore {
-namespace {
-
-constexpr char kMagic[4] = {'L', 'X', 'R', 'C'};
-// v2: session payloads carry the stall/switch/mean-bitrate aggregates.
-// Framing is unchanged, but v1 files must fail the version check instead of
-// being misparsed under the new payload layout.
-constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kMaxPayload = 64u << 20;  // 64 MiB sanity bound
-constexpr std::size_t kHeaderSize = 12;  // magic + version + payload_len
-
-std::uint32_t load_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-/// Validates a 12-byte frame header (magic, version, length bound); returns
-/// the payload length. Shared by the in-memory and streaming readers so the
-/// two paths can never diverge on what a valid frame is.
-Expected<std::uint32_t> parse_frame_header(const unsigned char* header) {
-  if (std::memcmp(header, kMagic, 4) != 0) return Error::corrupt("record magic mismatch");
-  if (load_u32(header + 4) != kVersion) return Error::corrupt("unsupported record version");
-  const std::uint32_t len = load_u32(header + 8);
-  if (len > kMaxPayload) return Error::corrupt("record payload too large");
-  return len;
-}
-
-}  // namespace
-
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_f64(std::vector<unsigned char>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-bool get_u32(const std::vector<unsigned char>& in, std::size_t& pos, std::uint32_t& v) {
-  if (pos + 4 > in.size()) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[pos + i]) << (8 * i);
-  pos += 4;
-  return true;
-}
-
-bool get_u64(const std::vector<unsigned char>& in, std::size_t& pos, std::uint64_t& v) {
-  if (pos + 8 > in.size()) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[pos + i]) << (8 * i);
-  pos += 8;
-  return true;
-}
-
-bool get_f64(const std::vector<unsigned char>& in, std::size_t& pos, double& v) {
-  std::uint64_t bits = 0;
-  if (!get_u64(in, pos, bits)) return false;
-  std::memcpy(&v, &bits, sizeof(v));
-  return true;
-}
-
-void write_record(std::vector<unsigned char>& out,
-                  const std::vector<unsigned char>& payload) {
-  out.insert(out.end(), kMagic, kMagic + 4);
-  put_u32(out, kVersion);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  put_u32(out, crc32(payload.data(), payload.size()));
-}
-
-Expected<std::vector<unsigned char>> read_record(const std::vector<unsigned char>& bytes,
-                                                 std::size_t& pos) {
-  if (pos + kHeaderSize > bytes.size()) {
-    // The 4-byte magic check first so a wrong-format file reads as such
-    // rather than as a truncated one.
-    if (pos + 4 > bytes.size() || std::memcmp(bytes.data() + pos, kMagic, 4) != 0) {
-      return Error::corrupt("record magic mismatch");
-    }
-    return Error::corrupt("truncated record header");
-  }
-  auto len = parse_frame_header(bytes.data() + pos);
-  if (!len) return len.error();
-  pos += kHeaderSize;
-  if (pos + *len + 4 > bytes.size()) return Error::corrupt("truncated record payload");
-  std::vector<unsigned char> payload(bytes.begin() + static_cast<long>(pos),
-                                     bytes.begin() + static_cast<long>(pos + *len));
-  pos += *len;
-  std::uint32_t stored = 0;
-  get_u32(bytes, pos, stored);
-  if (stored != crc32(payload.data(), payload.size())) {
-    return Error::corrupt("record CRC mismatch");
-  }
-  return payload;
-}
-
-Expected<std::vector<unsigned char>> read_record(std::istream& in) {
-  unsigned char header[kHeaderSize];
-  in.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(header))) {
-    return Error::corrupt("truncated record header");
-  }
-  auto len = parse_frame_header(header);
-  if (!len) return len.error();
-  std::vector<unsigned char> body(*len + 4);
-  in.read(reinterpret_cast<char*>(body.data()), static_cast<std::streamsize>(body.size()));
-  if (in.gcount() != static_cast<std::streamsize>(body.size())) {
-    return Error::corrupt("truncated record payload");
-  }
-  const std::uint32_t stored = load_u32(body.data() + *len);
-  body.resize(*len);
-  if (stored != crc32(body.data(), body.size())) {
-    return Error::corrupt("record CRC mismatch");
-  }
-  return body;
-}
 
 Status write_file(const std::string& path, const std::vector<unsigned char>& bytes) {
   // Write-to-temp, fsync, close-with-check, rename: the destination is never

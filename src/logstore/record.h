@@ -1,41 +1,28 @@
-// Framed binary records: the storage primitive behind the state store.
+// Framed binary records: the storage primitive behind the state store,
+// session logs, fleet snapshots and telemetry archives.
 //
 // Layout per record: magic "LXRC" | u32 version | u32 payload_len |
-// payload bytes | u32 crc32(payload). Readers verify magic, version,
-// length bounds and checksum, so truncated or bit-flipped files surface as
-// Error::kCorrupt instead of silently corrupt personalization state.
-// This replaces the paper's HDF5 long-term state files (§4).
+// payload bytes | u32 crc32(payload), all integers little-endian — the
+// shared frame of common/codec.h, whose ByteWriter/ByteReader also encode
+// every payload. Readers verify magic, version, length bounds and checksum,
+// so truncated or bit-flipped files surface as Error::kCorrupt instead of
+// silently corrupt personalization state. This replaces the paper's HDF5
+// long-term state files (§4).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/expected.h"
 
 namespace lingxi::logstore {
 
-/// Append one framed record to `out`.
-void write_record(std::vector<unsigned char>& out, const std::vector<unsigned char>& payload);
-
-/// Read the record starting at `pos` in `bytes`; advances `pos` past it.
-Expected<std::vector<unsigned char>> read_record(const std::vector<unsigned char>& bytes,
-                                                 std::size_t& pos);
-
-/// Streaming variant: read the next framed record from `in` without loading
-/// the rest of the file. Callers detect a clean end-of-stream with
-/// `in.peek() == EOF` before calling; a stream that ends mid-record is
-/// reported as Error::kCorrupt.
-Expected<std::vector<unsigned char>> read_record(std::istream& in);
-
-/// Little-endian primitive packing helpers shared by payload codecs.
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v);
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v);
-void put_f64(std::vector<unsigned char>& out, double v);
-bool get_u32(const std::vector<unsigned char>& in, std::size_t& pos, std::uint32_t& v);
-bool get_u64(const std::vector<unsigned char>& in, std::size_t& pos, std::uint64_t& v);
-bool get_f64(const std::vector<unsigned char>& in, std::size_t& pos, double& v);
+/// The LXRC record frame. v2: session payloads carry the stall/switch/
+/// mean-bitrate aggregates. Framing is unchanged, but v1 files must fail the
+/// version check instead of being misparsed under the new payload layout.
+inline constexpr codec::Frame kRecordFrame{"record", "LXRC", 2, 64u << 20};
 
 /// Whole-file helpers.
 ///

@@ -26,76 +26,76 @@ bool SessionLogEntry::operator==(const SessionLogEntry& other) const {
   return true;
 }
 
-std::vector<unsigned char> encode_session(const SessionLogEntry& entry) {
-  std::vector<unsigned char> p;
-  put_u64(p, entry.user_id);
-  put_u64(p, entry.timestamp);
-  put_f64(p, entry.video_duration);
-  put_u32(p, entry.session.exited ? 1u : 0u);
-  put_f64(p, entry.session.watch_time);
-  put_f64(p, entry.session.startup_delay);
-  put_f64(p, entry.session.total_stall);
-  put_u32(p, static_cast<std::uint32_t>(entry.session.stall_events));
-  put_u32(p, static_cast<std::uint32_t>(entry.session.quality_switches));
-  put_f64(p, entry.session.mean_bitrate);
-  put_u32(p, static_cast<std::uint32_t>(entry.session.segments.size()));
+void encode_session(codec::ByteWriter& out, const SessionLogEntry& entry) {
+  out.u64(entry.user_id);
+  out.u64(entry.timestamp);
+  out.f64(entry.video_duration);
+  out.flag(entry.session.exited);
+  out.f64(entry.session.watch_time);
+  out.f64(entry.session.startup_delay);
+  out.f64(entry.session.total_stall);
+  out.u32(static_cast<std::uint32_t>(entry.session.stall_events));
+  out.u32(static_cast<std::uint32_t>(entry.session.quality_switches));
+  out.f64(entry.session.mean_bitrate);
+  out.u32(static_cast<std::uint32_t>(entry.session.segments.size()));
   for (const auto& seg : entry.session.segments) {
-    put_u32(p, static_cast<std::uint32_t>(seg.level));
-    put_f64(p, seg.position);
-    put_f64(p, seg.bitrate);
-    put_f64(p, seg.size);
-    put_f64(p, seg.throughput);
-    put_f64(p, seg.download_time);
-    put_f64(p, seg.stall_time);
-    put_f64(p, seg.buffer_before);
-    put_f64(p, seg.buffer_after);
-    put_f64(p, seg.cumulative_stall);
-    put_u32(p, static_cast<std::uint32_t>(seg.cumulative_stall_events));
+    out.u32(static_cast<std::uint32_t>(seg.level));
+    out.f64(seg.position);
+    out.f64(seg.bitrate);
+    out.f64(seg.size);
+    out.f64(seg.throughput);
+    out.f64(seg.download_time);
+    out.f64(seg.stall_time);
+    out.f64(seg.buffer_before);
+    out.f64(seg.buffer_after);
+    out.f64(seg.cumulative_stall);
+    out.u32(static_cast<std::uint32_t>(seg.cumulative_stall_events));
   }
-  return p;
 }
 
-Expected<SessionLogEntry> decode_session(const std::vector<unsigned char>& payload) {
+Expected<SessionLogEntry> decode_session(codec::ByteSpan payload) {
+  // One encoded segment: level, nine f64 fields, cumulative stall events.
+  constexpr std::size_t kSegmentBytes = 4 + 9 * 8 + 4;
+  codec::ByteReader in(payload);
   SessionLogEntry e;
-  std::size_t pos = 0;
-  std::uint32_t exited = 0, stall_events = 0, switches = 0, count = 0;
-  if (!get_u64(payload, pos, e.user_id) || !get_u64(payload, pos, e.timestamp) ||
-      !get_f64(payload, pos, e.video_duration) || !get_u32(payload, pos, exited) ||
-      !get_f64(payload, pos, e.session.watch_time) ||
-      !get_f64(payload, pos, e.session.startup_delay) ||
-      !get_f64(payload, pos, e.session.total_stall) ||
-      !get_u32(payload, pos, stall_events) || !get_u32(payload, pos, switches) ||
-      !get_f64(payload, pos, e.session.mean_bitrate) || !get_u32(payload, pos, count)) {
-    return Error::corrupt("truncated session header");
-  }
+  e.user_id = in.u64();
+  e.timestamp = in.u64();
+  e.video_duration = in.f64();
+  e.session.exited = in.flag();
+  e.session.watch_time = in.f64();
+  e.session.startup_delay = in.f64();
+  e.session.total_stall = in.f64();
+  e.session.stall_events = in.u32();
+  e.session.quality_switches = in.u32();
+  e.session.mean_bitrate = in.f64();
+  const std::uint32_t count = in.count(kSegmentBytes);
+  if (!in.ok()) return Error::corrupt("truncated session header or segment count");
   if (count > 1u << 20) return Error::corrupt("segment count out of range");
-  e.session.exited = exited != 0;
-  e.session.stall_events = stall_events;
-  e.session.quality_switches = switches;
   e.session.segments.resize(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     auto& seg = e.session.segments[i];
     seg.index = i;
-    std::uint32_t level = 0, events = 0;
-    const bool ok = get_u32(payload, pos, level) && get_f64(payload, pos, seg.position) &&
-                    get_f64(payload, pos, seg.bitrate) && get_f64(payload, pos, seg.size) &&
-                    get_f64(payload, pos, seg.throughput) &&
-                    get_f64(payload, pos, seg.download_time) &&
-                    get_f64(payload, pos, seg.stall_time) &&
-                    get_f64(payload, pos, seg.buffer_before) &&
-                    get_f64(payload, pos, seg.buffer_after) &&
-                    get_f64(payload, pos, seg.cumulative_stall) &&
-                    get_u32(payload, pos, events);
-    if (!ok) return Error::corrupt("truncated segment record");
-    seg.level = level;
-    seg.cumulative_stall_events = events;
+    seg.level = in.u32();
+    seg.position = in.f64();
+    seg.bitrate = in.f64();
+    seg.size = in.f64();
+    seg.throughput = in.f64();
+    seg.download_time = in.f64();
+    seg.stall_time = in.f64();
+    seg.buffer_before = in.f64();
+    seg.buffer_after = in.f64();
+    seg.cumulative_stall = in.f64();
+    seg.cumulative_stall_events = in.u32();
   }
-  if (pos != payload.size()) return Error::corrupt("trailing bytes in session payload");
+  if (!in.done()) return Error::corrupt("malformed session payload");
   return e;
 }
 
 void SessionLogWriter::append(const SessionLogEntry& entry) {
-  write_record(bytes_, encode_session(entry));
+  std::vector<unsigned char> payload;
+  codec::ByteWriter out(payload);
+  encode_session(out, entry);
+  kRecordFrame.write(bytes_, payload);
   ++entries_;
 }
 
@@ -103,12 +103,11 @@ Status SessionLogWriter::save(const std::string& path) const {
   return write_file(path, bytes_);
 }
 
-Expected<std::vector<SessionLogEntry>> SessionLogReader::read_bytes(
-    const std::vector<unsigned char>& bytes) {
+Expected<std::vector<SessionLogEntry>> SessionLogReader::read_bytes(codec::ByteSpan bytes) {
   std::vector<SessionLogEntry> entries;
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    auto payload = read_record(bytes, pos);
+  codec::ByteReader in(bytes);
+  while (in.remaining() > 0) {
+    auto payload = kRecordFrame.read(in);
     if (!payload) return payload.error();
     auto entry = decode_session(*payload);
     if (!entry) return entry.error();

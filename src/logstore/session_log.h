@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/expected.h"
 #include "sim/session.h"
 
@@ -28,9 +29,10 @@ struct SessionLogEntry {
   bool operator==(const SessionLogEntry& other) const;
 };
 
-/// Serialize one entry to a record payload (exposed for tests).
-std::vector<unsigned char> encode_session(const SessionLogEntry& entry);
-Expected<SessionLogEntry> decode_session(const std::vector<unsigned char>& payload);
+/// Append one entry's record payload to `out`; decode_session parses exactly
+/// one such payload (telemetry archives embed it after their own prefix).
+void encode_session(codec::ByteWriter& out, const SessionLogEntry& entry);
+Expected<SessionLogEntry> decode_session(codec::ByteSpan payload);
 
 /// Accumulates entries in memory and flushes them as a record stream.
 class SessionLogWriter {
@@ -49,8 +51,7 @@ class SessionLogWriter {
 /// Parses a record stream produced by SessionLogWriter.
 class SessionLogReader {
  public:
-  static Expected<std::vector<SessionLogEntry>> read_bytes(
-      const std::vector<unsigned char>& bytes);
+  static Expected<std::vector<SessionLogEntry>> read_bytes(codec::ByteSpan bytes);
   static Expected<std::vector<SessionLogEntry>> load(const std::string& path);
 };
 

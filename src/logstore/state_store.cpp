@@ -7,20 +7,16 @@
 namespace lingxi::logstore {
 namespace {
 
-void put_vec(std::vector<unsigned char>& out, const std::vector<double>& v) {
-  put_u32(out, static_cast<std::uint32_t>(v.size()));
-  for (double x : v) put_f64(out, x);
+void put_vec(codec::ByteWriter& out, const std::vector<double>& v) {
+  out.u32(static_cast<std::uint32_t>(v.size()));
+  for (double x : v) out.f64(x);
 }
 
-bool get_vec(const std::vector<unsigned char>& in, std::size_t& pos, std::vector<double>& v) {
-  std::uint32_t n = 0;
-  if (!get_u32(in, pos, n)) return false;
-  if (n > 1024) return false;  // history vectors are capped at 8 in practice
-  v.resize(n);
-  for (auto& x : v) {
-    if (!get_f64(in, pos, x)) return false;
-  }
-  return true;
+void get_vec(codec::ByteReader& in, std::vector<double>& v) {
+  const std::uint32_t n = in.count(sizeof(double));
+  if (n > 1024) in.fail();  // history vectors are capped at 8 in practice
+  v.resize(in.ok() ? n : 0);
+  for (auto& x : v) x = in.f64();
 }
 
 }  // namespace
@@ -41,46 +37,43 @@ bool StateStore::contains(std::uint64_t user_id) const {
 
 std::vector<unsigned char> StateStore::encode(std::uint64_t user_id, const UserState& state) {
   std::vector<unsigned char> p;
-  put_u64(p, user_id);
-  put_vec(p, state.engagement.stall_durations);
-  put_vec(p, state.engagement.stall_intervals);
-  put_vec(p, state.engagement.stall_exit_intervals);
-  put_f64(p, state.engagement.total_watch_time);
-  put_u64(p, state.engagement.total_stall_events);
-  put_u64(p, state.engagement.total_stall_exits);
-  put_f64(p, state.best_params.stall_penalty);
-  put_f64(p, state.best_params.switch_penalty);
-  put_f64(p, state.best_params.hyb_beta);
-  put_u32(p, state.has_params ? 1u : 0u);
+  codec::ByteWriter out(p);
+  out.u64(user_id);
+  put_vec(out, state.engagement.stall_durations);
+  put_vec(out, state.engagement.stall_intervals);
+  put_vec(out, state.engagement.stall_exit_intervals);
+  out.f64(state.engagement.total_watch_time);
+  out.u64(state.engagement.total_stall_events);
+  out.u64(state.engagement.total_stall_exits);
+  out.f64(state.best_params.stall_penalty);
+  out.f64(state.best_params.switch_penalty);
+  out.f64(state.best_params.hyb_beta);
+  out.flag(state.has_params);
   return p;
 }
 
-Expected<std::pair<std::uint64_t, UserState>> StateStore::decode(
-    const std::vector<unsigned char>& payload) {
-  std::size_t pos = 0;
-  std::uint64_t user_id = 0;
+Expected<std::pair<std::uint64_t, UserState>> StateStore::decode(codec::ByteSpan payload) {
+  codec::ByteReader in(payload);
+  const std::uint64_t user_id = in.u64();
   UserState s;
-  std::uint32_t has_params = 0;
-  const bool ok = get_u64(payload, pos, user_id) &&
-                  get_vec(payload, pos, s.engagement.stall_durations) &&
-                  get_vec(payload, pos, s.engagement.stall_intervals) &&
-                  get_vec(payload, pos, s.engagement.stall_exit_intervals) &&
-                  get_f64(payload, pos, s.engagement.total_watch_time) &&
-                  get_u64(payload, pos, s.engagement.total_stall_events) &&
-                  get_u64(payload, pos, s.engagement.total_stall_exits) &&
-                  get_f64(payload, pos, s.best_params.stall_penalty) &&
-                  get_f64(payload, pos, s.best_params.switch_penalty) &&
-                  get_f64(payload, pos, s.best_params.hyb_beta) &&
-                  get_u32(payload, pos, has_params);
-  if (!ok || pos != payload.size()) return Error::corrupt("malformed user state payload");
-  s.has_params = has_params != 0;
+  get_vec(in, s.engagement.stall_durations);
+  get_vec(in, s.engagement.stall_intervals);
+  get_vec(in, s.engagement.stall_exit_intervals);
+  s.engagement.total_watch_time = in.f64();
+  s.engagement.total_stall_events = in.u64();
+  s.engagement.total_stall_exits = in.u64();
+  s.best_params.stall_penalty = in.f64();
+  s.best_params.switch_penalty = in.f64();
+  s.best_params.hyb_beta = in.f64();
+  s.has_params = in.flag();
+  if (!in.done()) return Error::corrupt("malformed user state payload");
   return std::make_pair(user_id, std::move(s));
 }
 
 Status StateStore::save(const std::string& path) const {
   std::vector<unsigned char> bytes;
   for (const auto& [id, state] : states_) {
-    write_record(bytes, encode(id, state));
+    kRecordFrame.write(bytes, encode(id, state));
   }
   return write_file(path, bytes);
 }
@@ -89,9 +82,9 @@ Status StateStore::load(const std::string& path) {
   auto bytes = read_file(path);
   if (!bytes) return bytes.error();
   std::unordered_map<std::uint64_t, UserState> loaded;
-  std::size_t pos = 0;
-  while (pos < bytes->size()) {
-    auto payload = read_record(*bytes, pos);
+  codec::ByteReader in(*bytes);
+  while (in.remaining() > 0) {
+    auto payload = kRecordFrame.read(in);
     if (!payload) return payload.error();
     auto entry = StateStore::decode(*payload);
     if (!entry) return entry.error();

@@ -1,152 +1,119 @@
 #include "nn/serialize.h"
 
-#include <cstring>
+#include <algorithm>
 #include <fstream>
 
+#include "common/codec.h"
 #include "common/crc32.h"
-
-// GCC 12's stringop-overflow/overread analysis misfires on the inlined
-// std::vector growth paths in this file at -O2 (GCC PR 105329 and friends);
-// the diagnostics point into libstdc++, not user code. Scoped here so the
-// rest of the tree keeps the real diagnostics under -Werror.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wstringop-overflow"
-#pragma GCC diagnostic ignored "-Wstringop-overread"
-#endif
 
 namespace lingxi::nn {
 namespace {
 
 constexpr unsigned char kMagic[4] = {'L', 'X', 'N', 'N'};
 constexpr unsigned char kContainerMagic[4] = {'L', 'X', 'N', 'C'};
-constexpr std::uint32_t kVersion = kTensorBlobVersion;
 
-template <typename T>
-void append(std::vector<unsigned char>& out, const T& v) {
-  const std::size_t pos = out.size();
-  out.resize(pos + sizeof(T));
-  std::memcpy(out.data() + pos, &v, sizeof(T));
+/// Both nn formats end in a CRC-32 of everything between the magic and the
+/// CRC itself.
+void append_crc(std::vector<unsigned char>& out) {
+  codec::ByteWriter(out).u32(crc32(out.data() + 4, out.size() - 4));
 }
 
-template <typename T>
-bool read(const std::vector<unsigned char>& in, std::size_t& pos, T& v) {
-  if (pos + sizeof(T) > in.size()) return false;
-  std::memcpy(&v, in.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return true;
+/// Checks the magic and trailing CRC of `bytes` and returns a reader over the
+/// body between them.
+Expected<codec::ByteReader> open_body(codec::ByteSpan bytes, const unsigned char (&magic)[4],
+                                      const char* what) {
+  if (bytes.size() < 8) return Error::corrupt(std::string(what) + " too small");
+  if (!std::equal(magic, magic + 4, bytes.begin())) {
+    return Error::corrupt(std::string("bad magic in ") + what);
+  }
+  const codec::ByteSpan body = bytes.subspan(4, bytes.size() - 8);
+  codec::ByteReader crc(bytes.last(4));
+  if (crc.u32() != crc32(body.data(), body.size())) {
+    return Error::corrupt(std::string(what) + " CRC mismatch");
+  }
+  return codec::ByteReader(body);
 }
 
 }  // namespace
 
 std::vector<unsigned char> serialize_tensors(const std::vector<const Tensor*>& tensors) {
-  std::vector<unsigned char> out;
-  // Byte-wise append: GCC 12 misdiagnoses a 4-byte range insert here as a
-  // stringop-overflow at -O2.
-  for (unsigned char c : kMagic) out.push_back(c);
-  append(out, kVersion);
-  append(out, static_cast<std::uint32_t>(tensors.size()));
+  std::vector<unsigned char> out(std::begin(kMagic), std::end(kMagic));
+  codec::ByteWriter w(out);
+  w.u32(kTensorBlobVersion);
+  w.u32(static_cast<std::uint32_t>(tensors.size()));
   for (const Tensor* t : tensors) {
-    append(out, static_cast<std::uint32_t>(t->rank()));
-    for (std::size_t d = 0; d < t->rank(); ++d) {
-      append(out, static_cast<std::uint64_t>(t->dim(d)));
-    }
-    for (std::size_t i = 0; i < t->size(); ++i) append(out, (*t)[i]);
+    w.u32(static_cast<std::uint32_t>(t->rank()));
+    for (std::size_t d = 0; d < t->rank(); ++d) w.u64(t->dim(d));
+    for (std::size_t i = 0; i < t->size(); ++i) w.f64((*t)[i]);
   }
-  const std::uint32_t crc = crc32(out.data() + 4, out.size() - 4);
-  append(out, crc);
+  append_crc(out);
   return out;
 }
 
-Expected<std::vector<Tensor>> deserialize_tensors(const std::vector<unsigned char>& bytes) {
-  if (bytes.size() < 4 + sizeof(std::uint32_t) * 2 + sizeof(std::uint32_t)) {
-    return Error::corrupt("tensor blob too small");
-  }
-  if (std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    return Error::corrupt("bad magic in tensor blob");
-  }
-  // Verify trailing CRC over everything between magic and CRC.
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(std::uint32_t),
-              sizeof(std::uint32_t));
-  const std::uint32_t computed =
-      crc32(bytes.data() + 4, bytes.size() - 4 - sizeof(std::uint32_t));
-  if (stored_crc != computed) return Error::corrupt("tensor blob CRC mismatch");
-
-  std::size_t pos = 4;
-  std::uint32_t version = 0, count = 0;
-  if (!read(bytes, pos, version)) return Error::corrupt("truncated header");
-  if (version != kVersion) return Error::corrupt("unsupported tensor blob version");
-  if (!read(bytes, pos, count)) return Error::corrupt("truncated header");
+Expected<std::vector<Tensor>> deserialize_tensors(codec::ByteSpan bytes) {
+  auto body = open_body(bytes, kMagic, "tensor blob");
+  if (!body) return body.error();
+  codec::ByteReader& in = *body;
+  if (in.u32() != kTensorBlobVersion) return Error::corrupt("unsupported tensor blob version");
+  // The smallest tensor: rank 1, one dim, one element.
+  const std::uint32_t count = in.count(4 + 8 + 8);
+  if (!in.ok()) return Error::corrupt("tensor count exceeds blob");
 
   std::vector<Tensor> tensors;
   tensors.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t rank = 0;
-    if (!read(bytes, pos, rank)) return Error::corrupt("truncated tensor rank");
+    const std::uint32_t rank = in.u32();
+    if (!in.ok()) return Error::corrupt("truncated tensor rank");
     if (rank == 0 || rank > 3) return Error::corrupt("tensor rank out of range");
     std::vector<std::size_t> shape(rank);
-    std::size_t numel = 1;
+    // Bytes of data the dims read so far imply; bounding each partial
+    // product by the bytes left keeps numel from wrapping.
+    std::uint64_t data_bytes = sizeof(double);
     for (auto& d : shape) {
-      std::uint64_t dim = 0;
-      if (!read(bytes, pos, dim)) return Error::corrupt("truncated tensor shape");
+      const std::uint64_t dim = in.u64();
+      if (!in.ok()) return Error::corrupt("truncated tensor shape");
       if (dim == 0 || dim > (1u << 24)) return Error::corrupt("tensor dim out of range");
+      if (!in.holds(dim, data_bytes)) return Error::corrupt("tensor data exceeds blob");
       d = static_cast<std::size_t>(dim);
-      numel *= d;
+      data_bytes *= dim;
     }
-    std::vector<double> data(numel);
-    for (auto& x : data) {
-      if (!read(bytes, pos, x)) return Error::corrupt("truncated tensor data");
-    }
+    std::vector<double> data(data_bytes / sizeof(double));
+    for (auto& x : data) x = in.f64();
     tensors.emplace_back(std::move(shape), std::move(data));
   }
+  if (!in.done()) return Error::corrupt("trailing bytes in tensor blob");
   return tensors;
 }
 
 std::vector<unsigned char> serialize_model(std::uint32_t model_kind,
                                            const std::vector<const Tensor*>& tensors) {
   const auto blob = serialize_tensors(tensors);
-  std::vector<unsigned char> out;
-  for (unsigned char c : kContainerMagic) out.push_back(c);
-  append(out, kModelContainerVersion);
-  append(out, model_kind);
-  append(out, static_cast<std::uint64_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
-  const std::uint32_t crc = crc32(out.data() + 4, out.size() - 4);
-  append(out, crc);
+  std::vector<unsigned char> out(std::begin(kContainerMagic), std::end(kContainerMagic));
+  codec::ByteWriter w(out);
+  w.u32(kModelContainerVersion);
+  w.u32(model_kind);
+  w.u64(blob.size());
+  w.bytes(blob);
+  append_crc(out);
   return out;
 }
 
 Expected<std::vector<Tensor>> deserialize_model(std::uint32_t expected_kind,
-                                                const std::vector<unsigned char>& bytes) {
-  constexpr std::size_t kHeader =
-      4 + sizeof(std::uint32_t) * 2 + sizeof(std::uint64_t) + sizeof(std::uint32_t);
-  if (bytes.size() < kHeader) return Error::corrupt("model container too small");
-  if (std::memcmp(bytes.data(), kContainerMagic, 4) != 0) {
-    return Error::corrupt("bad magic in model container");
-  }
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(std::uint32_t),
-              sizeof(std::uint32_t));
-  const std::uint32_t computed =
-      crc32(bytes.data() + 4, bytes.size() - 4 - sizeof(std::uint32_t));
-  if (stored_crc != computed) return Error::corrupt("model container CRC mismatch");
-
-  std::size_t pos = 4;
-  std::uint32_t version = 0, kind = 0;
-  std::uint64_t blob_len = 0;
-  if (!read(bytes, pos, version) || !read(bytes, pos, kind) || !read(bytes, pos, blob_len)) {
-    return Error::corrupt("truncated model container header");
-  }
+                                                codec::ByteSpan bytes) {
+  auto body = open_body(bytes, kContainerMagic, "model container");
+  if (!body) return body.error();
+  codec::ByteReader& in = *body;
+  const std::uint32_t version = in.u32();
+  const std::uint32_t kind = in.u32();
+  const std::uint64_t blob_len = in.u64();
+  if (!in.ok()) return Error::corrupt("truncated model container header");
   if (version != kModelContainerVersion) {
     return Error::corrupt("unsupported model container version");
   }
   if (kind != expected_kind) return Error::corrupt("model container kind mismatch");
-  if (pos + blob_len + sizeof(std::uint32_t) != bytes.size()) {
-    return Error::corrupt("model container length mismatch");
-  }
-  return deserialize_tensors(
-      std::vector<unsigned char>(bytes.begin() + static_cast<long>(pos),
-                                 bytes.end() - sizeof(std::uint32_t)));
+  const codec::ByteSpan blob = in.bytes(blob_len);
+  if (!in.done()) return Error::corrupt("model container length mismatch");
+  return deserialize_tensors(blob);
 }
 
 namespace {
@@ -154,7 +121,7 @@ namespace {
 /// Shared tail of the typed layer loaders: unwrap the container, check the
 /// tensor count and shapes against the destination parameters, then copy.
 Status load_layer(std::uint32_t kind, const std::vector<Tensor*>& params,
-                  const std::vector<unsigned char>& bytes) {
+                  codec::ByteSpan bytes) {
   auto tensors = deserialize_model(kind, bytes);
   if (!tensors) return tensors.error();
   if (tensors->size() != params.size()) {

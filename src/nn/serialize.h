@@ -1,8 +1,11 @@
 // Binary (de)serialization of tensor lists — model checkpoints.
 //
 // Two layers of format, both CRC-protected and versioned, both failing with
-// Expected errors (never asserts) so corrupt or future-versioned files are
-// recoverable conditions:
+// Expected errors (never asserts) so corrupt, hostile or future-versioned
+// files are recoverable conditions. Integers are little-endian and f64 is
+// the little-endian IEEE-754 bit pattern, written and read through the byte
+// codec of common/codec.h, so no decoded count or shape can size an
+// allocation the blob's bytes cannot back:
 //
 //   * tensor blob: magic "LXNN", u32 version, u32 tensor count, then per
 //     tensor (u32 rank, u64 dims..., f64 data...), then CRC-32 of everything
@@ -22,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/expected.h"
 #include "nn/conv1d.h"
 #include "nn/dense.h"
@@ -43,7 +47,7 @@ inline constexpr std::uint32_t kModelKindStallExitNet = 3;
 std::vector<unsigned char> serialize_tensors(const std::vector<const Tensor*>& tensors);
 
 /// Parse a byte buffer produced by serialize_tensors.
-Expected<std::vector<Tensor>> deserialize_tensors(const std::vector<unsigned char>& bytes);
+Expected<std::vector<Tensor>> deserialize_tensors(codec::ByteSpan bytes);
 
 /// Wrap a tensor list in a versioned model container tagged `model_kind`.
 std::vector<unsigned char> serialize_model(std::uint32_t model_kind,
@@ -51,7 +55,7 @@ std::vector<unsigned char> serialize_model(std::uint32_t model_kind,
 /// Unwrap a model container: the version and CRC must check out and the kind
 /// tag must equal `expected_kind` (Error::kCorrupt otherwise).
 Expected<std::vector<Tensor>> deserialize_model(std::uint32_t expected_kind,
-                                                const std::vector<unsigned char>& bytes);
+                                                codec::ByteSpan bytes);
 
 /// Typed layer checkpoints: a model container holding [weight, bias].
 std::vector<unsigned char> serialize_dense(const Dense& layer);

@@ -21,13 +21,11 @@
 //     histograms, RSS, sessions/sec, batching counters), which measures the
 //     machine rather than the simulation and legitimately differs run to run.
 //
-// Records are framed with the logstore discipline — magic | u32 version |
-// u32 payload_len | payload | u32 crc32(payload) — under a timeline-specific
-// magic. The framing is reimplemented here rather than linked from logstore
-// because obs sits at the very bottom of the module graph (it depends only
-// on common) while logstore sits far above it; the two codecs share the
-// discipline, not the code. Truncated frames, flipped bits and unknown
-// schema versions surface as Error::kCorrupt from the reader, never as UB.
+// Records use the CRC frame of common/codec.h — magic | u32 version |
+// u32 payload_len | payload | u32 crc32(payload), little-endian — under a
+// timeline-specific magic, the same frame and byte codec as logstore's
+// records. Truncated frames, flipped bits and unknown schema versions
+// surface as Error::kCorrupt from the reader, never as UB.
 //
 // The writer is a runtime-nullable process-global install, like Registry
 // and Tracer: when one is active (and a Registry is installed),
@@ -153,9 +151,6 @@ class TimelineReader {
 
  private:
   explicit TimelineReader(std::shared_ptr<std::ifstream> in) : in_(std::move(in)) {}
-
-  /// Read and CRC-verify one raw frame payload.
-  Expected<std::vector<unsigned char>> read_frame();
 
   /// Shared_ptr so the reader stays copyable/movable through Expected.
   std::shared_ptr<std::ifstream> in_;

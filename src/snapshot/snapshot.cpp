@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "common/assert.h"
+#include "common/codec.h"
 #include "common/crc32.h"
 #include "logstore/record.h"
 #include "nn/serialize.h"
@@ -35,62 +36,48 @@ constexpr std::uint64_t kMaxVectorLen = 1u << 20;
 // Error::kCorrupt, never as bad_alloc.
 constexpr std::uint64_t kMaxSnapshotUsers = 1u << 24;
 
-void put_vector(std::vector<unsigned char>& p, const std::vector<double>& v) {
-  logstore::put_u64(p, v.size());
-  for (double x : v) logstore::put_f64(p, x);
+void put_vector(codec::ByteWriter& out, const std::vector<double>& v) {
+  out.u64(v.size());
+  for (double x : v) out.f64(x);
 }
 
-bool get_vector(const std::vector<unsigned char>& in, std::size_t& pos,
-                std::vector<double>& v) {
-  std::uint64_t n = 0;
-  if (!logstore::get_u64(in, pos, n) || n > kMaxVectorLen) return false;
-  v.resize(static_cast<std::size_t>(n));
-  for (auto& x : v) {
-    if (!logstore::get_f64(in, pos, x)) return false;
-  }
-  return true;
-}
-
-std::uint32_t record_type(const std::vector<unsigned char>& payload) {
-  std::size_t pos = 0;
-  std::uint32_t type = 0;
-  if (!logstore::get_u32(payload, pos, type)) return 0;
-  return type;
+void get_vector(codec::ByteReader& in, std::vector<double>& v) {
+  const std::uint64_t n = in.count64(sizeof(double));
+  if (n > kMaxVectorLen) in.fail();
+  v.resize(in.ok() ? static_cast<std::size_t>(n) : 0);
+  for (auto& x : v) x = in.f64();
 }
 
 std::vector<unsigned char> encode_capture_cursor(
     std::uint64_t user, const telemetry::ShardedCapture::CaptureCursor& cursor) {
   std::vector<unsigned char> p;
-  logstore::put_u32(p, kCaptureCursorRecord);
-  logstore::put_u64(p, user);
-  logstore::put_u64(p, cursor.records);
-  logstore::put_u64(p, cursor.next_expected_at_least);
-  logstore::put_u64(p, cursor.bytes.size());
-  p.insert(p.end(), cursor.bytes.begin(), cursor.bytes.end());
+  codec::ByteWriter out(p);
+  out.u32(kCaptureCursorRecord);
+  out.u64(user);
+  out.u64(cursor.records);
+  out.u64(cursor.next_expected_at_least);
+  out.u64(cursor.bytes.size());
+  out.bytes(cursor.bytes);
   return p;
 }
 
 Expected<std::pair<std::uint64_t, telemetry::ShardedCapture::CaptureCursor>>
-decode_capture_cursor(const std::vector<unsigned char>& payload) {
-  std::size_t pos = 4;  // past the type tag
-  std::uint64_t user = 0, byte_count = 0;
+decode_capture_cursor(codec::ByteSpan payload) {
+  codec::ByteReader in(payload);
+  if (in.u32() != kCaptureCursorRecord) return Error::corrupt("missing capture cursor record");
+  const std::uint64_t user = in.u64();
   telemetry::ShardedCapture::CaptureCursor cursor;
-  if (!logstore::get_u64(payload, pos, user) ||
-      !logstore::get_u64(payload, pos, cursor.records) ||
-      !logstore::get_u64(payload, pos, cursor.next_expected_at_least) ||
-      !logstore::get_u64(payload, pos, byte_count)) {
-    return Error::corrupt("truncated capture cursor record");
-  }
-  if (pos + byte_count != payload.size()) {
-    return Error::corrupt("capture cursor byte count disagrees with record size");
-  }
-  cursor.bytes.assign(payload.begin() + static_cast<long>(pos), payload.end());
+  cursor.records = in.u64();
+  cursor.next_expected_at_least = in.u64();
+  const codec::ByteSpan bytes = in.bytes(in.u64());
+  if (!in.done()) return Error::corrupt("malformed capture cursor record");
+  cursor.bytes.assign(bytes.begin(), bytes.end());
   return std::make_pair(user, std::move(cursor));
 }
 
 /// The 19 integer fields of FleetAccumulator in declaration order — the same
 /// serialization checksum() hashes (overflow latch last).
-void put_accumulator(std::vector<unsigned char>& p, const sim::FleetAccumulator& acc) {
+void put_accumulator(codec::ByteWriter& out, const sim::FleetAccumulator& acc) {
   for (std::uint64_t v :
        {acc.sessions, acc.completed, acc.measured_sessions, acc.measured_completed,
         acc.stall_events, acc.stall_exits, acc.quality_switches, acc.users,
@@ -100,36 +87,30 @@ void put_accumulator(std::vector<unsigned char>& p, const sim::FleetAccumulator&
         static_cast<std::uint64_t>(acc.bitrate_time_ticks), acc.lingxi_triggers,
         acc.lingxi_optimizations, acc.lingxi_pruned_preplay, acc.lingxi_mc_evaluations,
         acc.lingxi_mc_rollouts_pruned, acc.adjusted_user_days, acc.overflowed}) {
-    logstore::put_u64(p, v);
+    out.u64(v);
   }
 }
 
-bool get_accumulator(const std::vector<unsigned char>& in, std::size_t& pos,
-                     sim::FleetAccumulator& acc) {
-  std::uint64_t f[19];
-  for (auto& v : f) {
-    if (!logstore::get_u64(in, pos, v)) return false;
-  }
-  acc.sessions = f[0];
-  acc.completed = f[1];
-  acc.measured_sessions = f[2];
-  acc.measured_completed = f[3];
-  acc.stall_events = f[4];
-  acc.stall_exits = f[5];
-  acc.quality_switches = f[6];
-  acc.users = f[7];
-  acc.watch_ticks = static_cast<std::int64_t>(f[8]);
-  acc.stall_ticks = static_cast<std::int64_t>(f[9]);
-  acc.startup_ticks = static_cast<std::int64_t>(f[10]);
-  acc.bitrate_time_ticks = static_cast<std::int64_t>(f[11]);
-  acc.lingxi_triggers = f[12];
-  acc.lingxi_optimizations = f[13];
-  acc.lingxi_pruned_preplay = f[14];
-  acc.lingxi_mc_evaluations = f[15];
-  acc.lingxi_mc_rollouts_pruned = f[16];
-  acc.adjusted_user_days = f[17];
-  acc.overflowed = f[18];
-  return true;
+void get_accumulator(codec::ByteReader& in, sim::FleetAccumulator& acc) {
+  acc.sessions = in.u64();
+  acc.completed = in.u64();
+  acc.measured_sessions = in.u64();
+  acc.measured_completed = in.u64();
+  acc.stall_events = in.u64();
+  acc.stall_exits = in.u64();
+  acc.quality_switches = in.u64();
+  acc.users = in.u64();
+  acc.watch_ticks = static_cast<std::int64_t>(in.u64());
+  acc.stall_ticks = static_cast<std::int64_t>(in.u64());
+  acc.startup_ticks = static_cast<std::int64_t>(in.u64());
+  acc.bitrate_time_ticks = static_cast<std::int64_t>(in.u64());
+  acc.lingxi_triggers = in.u64();
+  acc.lingxi_optimizations = in.u64();
+  acc.lingxi_pruned_preplay = in.u64();
+  acc.lingxi_mc_evaluations = in.u64();
+  acc.lingxi_mc_rollouts_pruned = in.u64();
+  acc.adjusted_user_days = in.u64();
+  acc.overflowed = in.u64();
 }
 
 struct Manifest {
@@ -153,66 +134,57 @@ struct Manifest {
 
 std::vector<unsigned char> encode_manifest(const Manifest& m) {
   std::vector<unsigned char> p;
-  logstore::put_u32(p, kSnapshotFormatVersion);
-  logstore::put_u64(p, m.seed);
-  logstore::put_u32(p, m.resume_digest);
-  logstore::put_u64(p, m.users);
-  logstore::put_u64(p, m.next_day);
-  logstore::put_u64(p, m.users_per_shard);
-  logstore::put_u32(p, m.has_net ? 1u : 0u);
-  logstore::put_u32(p, m.net_crc);
-  logstore::put_u32(p, m.has_capture ? 1u : 0u);
-  put_accumulator(p, m.accumulated);
-  logstore::put_u64(p, m.shards.size());
+  codec::ByteWriter out(p);
+  out.u32(kSnapshotFormatVersion);
+  out.u64(m.seed);
+  out.u32(m.resume_digest);
+  out.u64(m.users);
+  out.u64(m.next_day);
+  out.u64(m.users_per_shard);
+  out.flag(m.has_net);
+  out.u32(m.net_crc);
+  out.flag(m.has_capture);
+  put_accumulator(out, m.accumulated);
+  out.u64(m.shards.size());
   for (const auto& shard : m.shards) {
-    logstore::put_u64(p, shard.first_user);
-    logstore::put_u64(p, shard.user_count);
-    logstore::put_u64(p, shard.byte_count);
-    logstore::put_u32(p, shard.crc);
+    out.u64(shard.first_user);
+    out.u64(shard.user_count);
+    out.u64(shard.byte_count);
+    out.u32(shard.crc);
   }
   return p;
 }
 
-Expected<Manifest> decode_manifest(const std::vector<unsigned char>& payload) {
-  Manifest m;
-  std::size_t pos = 0;
-  std::uint32_t format = 0, net_flag = 0, capture_flag = 0;
-  if (!logstore::get_u32(payload, pos, format)) {
-    return Error::corrupt("truncated snapshot manifest");
-  }
-  if (format != kSnapshotFormatVersion) {
+Expected<Manifest> decode_manifest(codec::ByteSpan payload) {
+  codec::ByteReader in(payload);
+  if (in.u32() != kSnapshotFormatVersion) {
     return Error::corrupt("unsupported snapshot format version");
   }
-  std::uint64_t shard_count = 0;
-  const bool ok = logstore::get_u64(payload, pos, m.seed) &&
-                  logstore::get_u32(payload, pos, m.resume_digest) &&
-                  logstore::get_u64(payload, pos, m.users) &&
-                  logstore::get_u64(payload, pos, m.next_day) &&
-                  logstore::get_u64(payload, pos, m.users_per_shard) &&
-                  logstore::get_u32(payload, pos, net_flag) &&
-                  logstore::get_u32(payload, pos, m.net_crc) &&
-                  logstore::get_u32(payload, pos, capture_flag) &&
-                  get_accumulator(payload, pos, m.accumulated) &&
-                  logstore::get_u64(payload, pos, shard_count);
-  if (!ok) return Error::corrupt("truncated snapshot manifest");
+  Manifest m;
+  m.seed = in.u64();
+  m.resume_digest = in.u32();
+  m.users = in.u64();
+  m.next_day = in.u64();
+  m.users_per_shard = in.u64();
+  m.has_net = in.flag();
+  m.net_crc = in.u32();
+  m.has_capture = in.flag();
+  get_accumulator(in, m.accumulated);
+  // One shard-table entry: first_user, user_count, byte_count, crc.
+  const std::uint64_t shard_count = in.count64(3 * 8 + 4);
+  if (!in.ok()) return Error::corrupt("truncated snapshot manifest or shard index");
   if (shard_count > (1u << 20)) return Error::corrupt("snapshot shard count out of range");
   if (m.users > kMaxSnapshotUsers) {
     return Error::corrupt("snapshot user count out of range");
   }
-  m.has_net = net_flag != 0;
-  m.has_capture = capture_flag != 0;
   m.shards.resize(static_cast<std::size_t>(shard_count));
   for (auto& shard : m.shards) {
-    if (!logstore::get_u64(payload, pos, shard.first_user) ||
-        !logstore::get_u64(payload, pos, shard.user_count) ||
-        !logstore::get_u64(payload, pos, shard.byte_count) ||
-        !logstore::get_u32(payload, pos, shard.crc)) {
-      return Error::corrupt("truncated snapshot shard index");
-    }
+    shard.first_user = in.u64();
+    shard.user_count = in.u64();
+    shard.byte_count = in.u64();
+    shard.crc = in.u32();
   }
-  if (pos != payload.size()) {
-    return Error::corrupt("trailing bytes in snapshot manifest");
-  }
+  if (!in.done()) return Error::corrupt("malformed snapshot manifest");
   // The shard table must tile [0, users) contiguously, or per-user state
   // would be silently missing at resume time.
   std::uint64_t next_user = 0;
@@ -250,132 +222,118 @@ std::string net_filename() { return "net.lxnw"; }
 std::vector<unsigned char> encode_user_state(std::uint64_t user,
                                              const sim::UserFleetState& state) {
   std::vector<unsigned char> p;
-  logstore::put_u32(p, kUserStateRecord);
-  logstore::put_u64(p, user);
-  for (std::uint64_t word : state.session_rng.s) logstore::put_u64(p, word);
-  logstore::put_f64(p, state.session_rng.cached_normal);
-  logstore::put_u32(p, state.session_rng.has_cached_normal ? 1u : 0u);
-  logstore::put_f64(p, state.params.stall_penalty);
-  logstore::put_f64(p, state.params.switch_penalty);
-  logstore::put_f64(p, state.params.hyb_beta);
-  logstore::put_u64(p, state.adjusted_days);
-  logstore::put_u32(p, state.has_lingxi ? 1u : 0u);
+  codec::ByteWriter out(p);
+  out.u32(kUserStateRecord);
+  out.u64(user);
+  for (std::uint64_t word : state.session_rng.s) out.u64(word);
+  out.f64(state.session_rng.cached_normal);
+  out.flag(state.session_rng.has_cached_normal);
+  out.f64(state.params.stall_penalty);
+  out.f64(state.params.switch_penalty);
+  out.f64(state.params.hyb_beta);
+  out.u64(state.adjusted_days);
+  out.flag(state.has_lingxi);
   if (state.has_lingxi) {
     const core::LingXi::PersistentState& lx = state.lingxi;
-    put_vector(p, lx.engagement.long_term.stall_durations);
-    put_vector(p, lx.engagement.long_term.stall_intervals);
-    put_vector(p, lx.engagement.long_term.stall_exit_intervals);
-    logstore::put_f64(p, lx.engagement.long_term.total_watch_time);
-    logstore::put_u64(p, lx.engagement.long_term.total_stall_events);
-    logstore::put_u64(p, lx.engagement.long_term.total_stall_exits);
-    logstore::put_f64(p, lx.engagement.last_stall_at);
-    logstore::put_f64(p, lx.engagement.last_stall_exit_at);
-    put_vector(p, lx.bandwidth_window);
-    logstore::put_u64(p, lx.stalls_since_optimization);
-    logstore::put_u32(p, lx.has_optimized ? 1u : 0u);
-    logstore::put_f64(p, lx.params.stall_penalty);
-    logstore::put_f64(p, lx.params.switch_penalty);
-    logstore::put_f64(p, lx.params.hyb_beta);
-    logstore::put_u64(p, lx.stats.triggers);
-    logstore::put_u64(p, lx.stats.optimizations_run);
-    logstore::put_u64(p, lx.stats.pruned_preplay);
-    logstore::put_u64(p, lx.stats.mc_evaluations);
-    logstore::put_u64(p, lx.stats.mc_rollouts_pruned);
+    put_vector(out, lx.engagement.long_term.stall_durations);
+    put_vector(out, lx.engagement.long_term.stall_intervals);
+    put_vector(out, lx.engagement.long_term.stall_exit_intervals);
+    out.f64(lx.engagement.long_term.total_watch_time);
+    out.u64(lx.engagement.long_term.total_stall_events);
+    out.u64(lx.engagement.long_term.total_stall_exits);
+    out.f64(lx.engagement.last_stall_at);
+    out.f64(lx.engagement.last_stall_exit_at);
+    put_vector(out, lx.bandwidth_window);
+    out.u64(lx.stalls_since_optimization);
+    out.flag(lx.has_optimized);
+    out.f64(lx.params.stall_penalty);
+    out.f64(lx.params.switch_penalty);
+    out.f64(lx.params.hyb_beta);
+    out.u64(lx.stats.triggers);
+    out.u64(lx.stats.optimizations_run);
+    out.u64(lx.stats.pruned_preplay);
+    out.u64(lx.stats.mc_evaluations);
+    out.u64(lx.stats.mc_rollouts_pruned);
   }
   return p;
 }
 
 Expected<std::pair<std::uint64_t, sim::UserFleetState>> decode_user_state(
-    const std::vector<unsigned char>& payload) {
-  std::size_t pos = 4;  // past the type tag
-  std::uint64_t user = 0;
+    codec::ByteSpan payload) {
+  codec::ByteReader in(payload);
+  if (in.u32() != kUserStateRecord) return Error::corrupt("not a user state record");
+  const std::uint64_t user = in.u64();
   sim::UserFleetState state;
-  std::uint32_t cached_flag = 0, lingxi_flag = 0;
-  bool ok = logstore::get_u64(payload, pos, user);
-  for (auto& word : state.session_rng.s) ok = ok && logstore::get_u64(payload, pos, word);
-  ok = ok && logstore::get_f64(payload, pos, state.session_rng.cached_normal) &&
-       logstore::get_u32(payload, pos, cached_flag) &&
-       logstore::get_f64(payload, pos, state.params.stall_penalty) &&
-       logstore::get_f64(payload, pos, state.params.switch_penalty) &&
-       logstore::get_f64(payload, pos, state.params.hyb_beta) &&
-       logstore::get_u64(payload, pos, state.adjusted_days) &&
-       logstore::get_u32(payload, pos, lingxi_flag);
-  if (!ok) return Error::corrupt("truncated user state record");
-  state.session_rng.has_cached_normal = cached_flag != 0;
-  state.has_lingxi = lingxi_flag != 0;
+  for (auto& word : state.session_rng.s) word = in.u64();
+  state.session_rng.cached_normal = in.f64();
+  state.session_rng.has_cached_normal = in.flag();
+  state.params.stall_penalty = in.f64();
+  state.params.switch_penalty = in.f64();
+  state.params.hyb_beta = in.f64();
+  state.adjusted_days = in.u64();
+  state.has_lingxi = in.flag();
   if (state.has_lingxi) {
     core::LingXi::PersistentState& lx = state.lingxi;
-    std::uint32_t optimized_flag = 0;
-    ok = get_vector(payload, pos, lx.engagement.long_term.stall_durations) &&
-         get_vector(payload, pos, lx.engagement.long_term.stall_intervals) &&
-         get_vector(payload, pos, lx.engagement.long_term.stall_exit_intervals) &&
-         logstore::get_f64(payload, pos, lx.engagement.long_term.total_watch_time) &&
-         logstore::get_u64(payload, pos, lx.engagement.long_term.total_stall_events) &&
-         logstore::get_u64(payload, pos, lx.engagement.long_term.total_stall_exits) &&
-         logstore::get_f64(payload, pos, lx.engagement.last_stall_at) &&
-         logstore::get_f64(payload, pos, lx.engagement.last_stall_exit_at) &&
-         get_vector(payload, pos, lx.bandwidth_window) &&
-         logstore::get_u64(payload, pos, lx.stalls_since_optimization) &&
-         logstore::get_u32(payload, pos, optimized_flag) &&
-         logstore::get_f64(payload, pos, lx.params.stall_penalty) &&
-         logstore::get_f64(payload, pos, lx.params.switch_penalty) &&
-         logstore::get_f64(payload, pos, lx.params.hyb_beta) &&
-         logstore::get_u64(payload, pos, lx.stats.triggers) &&
-         logstore::get_u64(payload, pos, lx.stats.optimizations_run) &&
-         logstore::get_u64(payload, pos, lx.stats.pruned_preplay) &&
-         logstore::get_u64(payload, pos, lx.stats.mc_evaluations) &&
-         logstore::get_u64(payload, pos, lx.stats.mc_rollouts_pruned);
-    if (!ok) return Error::corrupt("truncated user state record");
-    lx.has_optimized = optimized_flag != 0;
+    get_vector(in, lx.engagement.long_term.stall_durations);
+    get_vector(in, lx.engagement.long_term.stall_intervals);
+    get_vector(in, lx.engagement.long_term.stall_exit_intervals);
+    lx.engagement.long_term.total_watch_time = in.f64();
+    lx.engagement.long_term.total_stall_events = in.u64();
+    lx.engagement.long_term.total_stall_exits = in.u64();
+    lx.engagement.last_stall_at = in.f64();
+    lx.engagement.last_stall_exit_at = in.f64();
+    get_vector(in, lx.bandwidth_window);
+    lx.stalls_since_optimization = in.u64();
+    lx.has_optimized = in.flag();
+    lx.params.stall_penalty = in.f64();
+    lx.params.switch_penalty = in.f64();
+    lx.params.hyb_beta = in.f64();
+    lx.stats.triggers = in.u64();
+    lx.stats.optimizations_run = in.u64();
+    lx.stats.pruned_preplay = in.u64();
+    lx.stats.mc_evaluations = in.u64();
+    lx.stats.mc_rollouts_pruned = in.u64();
   }
-  if (pos != payload.size()) return Error::corrupt("trailing bytes in user state record");
+  if (!in.done()) return Error::corrupt("malformed user state record");
   return std::make_pair(user, std::move(state));
 }
 
 std::vector<unsigned char> encode_obo_state(const bayesopt::OnlineBayesOpt::State& state) {
   std::vector<unsigned char> p;
-  logstore::put_f64(p, state.gp.config.length_scale);
-  logstore::put_f64(p, state.gp.config.signal_variance);
-  logstore::put_f64(p, state.gp.config.noise_variance);
-  logstore::put_u64(p, state.gp.xs.size());
+  codec::ByteWriter out(p);
+  out.f64(state.gp.config.length_scale);
+  out.f64(state.gp.config.signal_variance);
+  out.f64(state.gp.config.noise_variance);
+  out.u64(state.gp.xs.size());
   for (std::size_t i = 0; i < state.gp.xs.size(); ++i) {
-    put_vector(p, state.gp.xs[i]);
-    logstore::put_f64(p, state.gp.ys[i]);
+    put_vector(out, state.gp.xs[i]);
+    out.f64(state.gp.ys[i]);
   }
-  logstore::put_u32(p, state.has_warm_start ? 1u : 0u);
-  put_vector(p, state.warm_start);
-  logstore::put_u32(p, state.warm_start_used ? 1u : 0u);
+  out.flag(state.has_warm_start);
+  put_vector(out, state.warm_start);
+  out.flag(state.warm_start_used);
   return p;
 }
 
-Expected<bayesopt::OnlineBayesOpt::State> decode_obo_state(
-    const std::vector<unsigned char>& payload) {
+Expected<bayesopt::OnlineBayesOpt::State> decode_obo_state(codec::ByteSpan payload) {
+  codec::ByteReader in(payload);
   bayesopt::OnlineBayesOpt::State state;
-  std::size_t pos = 0;
-  std::uint64_t n = 0;
-  if (!logstore::get_f64(payload, pos, state.gp.config.length_scale) ||
-      !logstore::get_f64(payload, pos, state.gp.config.signal_variance) ||
-      !logstore::get_f64(payload, pos, state.gp.config.noise_variance) ||
-      !logstore::get_u64(payload, pos, n) || n > kMaxVectorLen) {
-    return Error::corrupt("truncated OBO state");
-  }
+  state.gp.config.length_scale = in.f64();
+  state.gp.config.signal_variance = in.f64();
+  state.gp.config.noise_variance = in.f64();
+  // One observation: an empty x vector's u64 length and its y.
+  const std::uint64_t n = in.count64(8 + 8);
+  if (!in.ok() || n > kMaxVectorLen) return Error::corrupt("truncated OBO state");
   state.gp.xs.resize(static_cast<std::size_t>(n));
   state.gp.ys.resize(static_cast<std::size_t>(n));
   for (std::size_t i = 0; i < state.gp.xs.size(); ++i) {
-    if (!get_vector(payload, pos, state.gp.xs[i]) ||
-        !logstore::get_f64(payload, pos, state.gp.ys[i])) {
-      return Error::corrupt("truncated OBO observation");
-    }
+    get_vector(in, state.gp.xs[i]);
+    state.gp.ys[i] = in.f64();
   }
-  std::uint32_t warm_flag = 0, used_flag = 0;
-  if (!logstore::get_u32(payload, pos, warm_flag) ||
-      !get_vector(payload, pos, state.warm_start) ||
-      !logstore::get_u32(payload, pos, used_flag)) {
-    return Error::corrupt("truncated OBO warm start");
-  }
-  state.has_warm_start = warm_flag != 0;
-  state.warm_start_used = used_flag != 0;
-  if (pos != payload.size()) return Error::corrupt("trailing bytes in OBO state");
+  state.has_warm_start = in.flag();
+  get_vector(in, state.warm_start);
+  state.warm_start_used = in.flag();
+  if (!in.done()) return Error::corrupt("malformed OBO state");
   return state;
 }
 
@@ -509,9 +467,9 @@ Status stage_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
       const std::size_t last = std::min(first + users_per_shard, users);
       std::vector<unsigned char> bytes;
       for (std::size_t u = first; u < last; ++u) {
-        logstore::write_record(bytes, encode_user_state(u, snapshot.state.users[u]));
+        logstore::kRecordFrame.write(bytes, encode_user_state(u, snapshot.state.users[u]));
         if (snapshot.has_capture) {
-          logstore::write_record(bytes, encode_capture_cursor(u, snapshot.capture[u]));
+          logstore::kRecordFrame.write(bytes, encode_capture_cursor(u, snapshot.capture[u]));
         }
       }
       auto& info = manifest.shards[s];
@@ -533,7 +491,7 @@ Status stage_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
   {
     OBS_TIMED("snapshot.save.manifest_us");
     std::vector<unsigned char> framed;
-    logstore::write_record(framed, encode_manifest(manifest));
+    logstore::kRecordFrame.write(framed, encode_manifest(manifest));
     if (auto s = logstore::write_file(dir + "/" + manifest_filename(), framed); !s) {
       return s;
     }
@@ -577,12 +535,10 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
   OBS_TIMED("snapshot.load.total_us");
   auto manifest_bytes = logstore::read_file(dir + "/" + manifest_filename());
   if (!manifest_bytes) return manifest_bytes.error();
-  std::size_t pos = 0;
-  auto payload = logstore::read_record(*manifest_bytes, pos);
+  codec::ByteReader manifest_in(*manifest_bytes);
+  auto payload = logstore::kRecordFrame.read(manifest_in);
   if (!payload) return payload.error();
-  if (pos != manifest_bytes->size()) {
-    return Error::corrupt("trailing bytes after snapshot manifest");
-  }
+  if (!manifest_in.done()) return Error::corrupt("trailing bytes after snapshot manifest");
   auto manifest = decode_manifest(*payload);
   if (!manifest) return manifest.error();
 
@@ -591,13 +547,7 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
   snapshot.resume_digest = manifest->resume_digest;
   snapshot.state.next_day = static_cast<std::size_t>(manifest->next_day);
   snapshot.state.accumulated = manifest->accumulated;
-  snapshot.state.users.assign(static_cast<std::size_t>(manifest->users),
-                              sim::UserFleetState{});
   snapshot.has_capture = manifest->has_capture;
-  if (manifest->has_capture) {
-    snapshot.capture.assign(snapshot.state.users.size(),
-                            telemetry::ShardedCapture::CaptureCursor{});
-  }
 
   if (manifest->has_net) {
     auto net = logstore::read_file(dir + "/" + net_filename());
@@ -621,32 +571,29 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
         crc32(bytes->data(), bytes->size()) != info.crc) {
       return Error::corrupt("snapshot state file disagrees with manifest: " + path);
     }
-    std::size_t shard_pos = 0;
+    // The shard table tiles [0, users) in order, so users append in index
+    // order. The tables grow only as records decode: a manifest claiming more
+    // users than its state files hold costs nothing before it is rejected.
+    codec::ByteReader in(*bytes);
     for (std::uint64_t u = info.first_user; u < info.first_user + info.user_count; ++u) {
-      auto record = logstore::read_record(*bytes, shard_pos);
+      auto record = logstore::kRecordFrame.read(in);
       if (!record) return record.error();
-      if (record_type(*record) != kUserStateRecord) {
-        return Error::corrupt("unexpected record type in snapshot state file");
-      }
       auto user_state = decode_user_state(*record);
       if (!user_state) return user_state.error();
       if (user_state->first != u) {
         return Error::corrupt("snapshot user state out of order");
       }
-      snapshot.state.users[static_cast<std::size_t>(u)] = std::move(user_state->second);
+      snapshot.state.users.push_back(std::move(user_state->second));
       if (manifest->has_capture) {
-        auto cursor_record = logstore::read_record(*bytes, shard_pos);
+        auto cursor_record = logstore::kRecordFrame.read(in);
         if (!cursor_record) return cursor_record.error();
-        if (record_type(*cursor_record) != kCaptureCursorRecord) {
-          return Error::corrupt("missing capture cursor record");
-        }
         auto cursor = decode_capture_cursor(*cursor_record);
         if (!cursor) return cursor.error();
         if (cursor->first != u) return Error::corrupt("capture cursor out of order");
-        snapshot.capture[static_cast<std::size_t>(u)] = std::move(cursor->second);
+        snapshot.capture.push_back(std::move(cursor->second));
       }
     }
-    if (shard_pos != bytes->size()) {
+    if (!in.done()) {
       return Error::corrupt("trailing bytes in snapshot state file: " + path);
     }
   }

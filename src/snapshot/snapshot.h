@@ -17,8 +17,8 @@
 //
 // A snapshot is a directory, mirroring the telemetry archive discipline
 // (manifest + framed per-shard files, everything CRC-protected through
-// logstore/record.h and common/crc32, failures surfacing through
-// common/expected.h):
+// logstore/record.h and encoded with common/codec.h, failures surfacing
+// through common/expected.h):
 //
 //   <dir>/manifest.lxm     one framed record
 //   <dir>/net.lxnw         optional: nn::serialize model container
@@ -28,7 +28,8 @@
 //   <dir>/state-NNNN.lxst  framed per-user state records for users
 //                          [NNNN * users_per_shard, (NNNN+1) * users_per_shard)
 //
-// Manifest payload (little-endian, logstore primitive codecs):
+// Manifest payload (little-endian, common/codec.h; every u32 0/1 flag must
+// be exactly 0 or 1):
 //   u32 format_version    kSnapshotFormatVersion
 //   u64 seed              fleet seed the snapshot was taken at
 //   u32 resume_digest     telemetry::config_digest over the FleetConfig with
@@ -109,6 +110,7 @@
 #include <vector>
 
 #include "bayesopt/obo.h"
+#include "common/codec.h"
 #include "common/expected.h"
 #include "sim/fleet_runner.h"
 #include "telemetry/capture.h"
@@ -221,12 +223,11 @@ Status restore_capture(telemetry::ShardedCapture& capture, const sim::FleetConfi
 std::vector<unsigned char> encode_user_state(std::uint64_t user,
                                              const sim::UserFleetState& state);
 Expected<std::pair<std::uint64_t, sim::UserFleetState>> decode_user_state(
-    const std::vector<unsigned char>& payload);
+    codec::ByteSpan payload);
 
 /// OBO/GP optimizer-state codec (see the header comment: reserved record
 /// type 3; not embedded by day-boundary snapshots).
 std::vector<unsigned char> encode_obo_state(const bayesopt::OnlineBayesOpt::State& state);
-Expected<bayesopt::OnlineBayesOpt::State> decode_obo_state(
-    const std::vector<unsigned char>& payload);
+Expected<bayesopt::OnlineBayesOpt::State> decode_obo_state(codec::ByteSpan payload);
 
 }  // namespace lingxi::snapshot

@@ -16,128 +16,87 @@ namespace {
 constexpr std::uint32_t kSessionRecord = 1;
 constexpr std::uint32_t kUserRecord = 2;
 
-// Fixed prefix of a kSessionRecord: type, user, day, session_in_day,
-// measured, three QoE parameters. Range scans decode only this much before
-// deciding whether to decode the embedded trajectory.
-struct SessionPrefix {
-  std::uint64_t user = 0;
-  std::uint32_t day = 0;
-  std::uint32_t session_in_day = 0;
-  std::uint32_t measured = 0;
-  abr::QoeParams params;
-  std::size_t end = 0;  ///< offset of the embedded SessionLogEntry payload
-};
-
-bool decode_session_prefix(const std::vector<unsigned char>& payload, SessionPrefix& out) {
-  std::size_t pos = 4;  // past the type tag
-  const bool ok = logstore::get_u64(payload, pos, out.user) &&
-                  logstore::get_u32(payload, pos, out.day) &&
-                  logstore::get_u32(payload, pos, out.session_in_day) &&
-                  logstore::get_u32(payload, pos, out.measured) &&
-                  logstore::get_f64(payload, pos, out.params.stall_penalty) &&
-                  logstore::get_f64(payload, pos, out.params.switch_penalty) &&
-                  logstore::get_f64(payload, pos, out.params.hyb_beta);
-  out.end = pos;
-  return ok;
+// Fixed prefix of a kSessionRecord after its type tag: user, day,
+// session_in_day, measured, three QoE parameters. Range scans decode only
+// this much before deciding whether to decode the embedded trajectory, which
+// then decodes in place from the rest of the same reader.
+bool decode_session_prefix(codec::ByteReader& in, ArchiveSessionRecord& rec) {
+  rec.user = in.u64();
+  rec.day = in.u32();
+  rec.session_in_day = in.u32();
+  rec.measured = in.flag();
+  rec.params_after.stall_penalty = in.f64();
+  rec.params_after.switch_penalty = in.f64();
+  rec.params_after.hyb_beta = in.f64();
+  return in.ok();
 }
 
-Expected<ArchiveSessionRecord> decode_session_record(
-    const std::vector<unsigned char>& payload) {
-  SessionPrefix prefix;
-  if (!decode_session_prefix(payload, prefix)) {
-    return Error::corrupt("truncated session record prefix");
-  }
-  auto entry = logstore::decode_session(std::vector<unsigned char>(
-      payload.begin() + static_cast<long>(prefix.end), payload.end()));
-  if (!entry) return entry.error();
-  ArchiveSessionRecord rec;
-  rec.user = prefix.user;
-  rec.day = prefix.day;
-  rec.session_in_day = prefix.session_in_day;
-  rec.measured = prefix.measured != 0;
-  rec.params_after = prefix.params;
-  rec.entry = std::move(*entry);
-  return rec;
-}
-
-Expected<ArchiveUserRecord> decode_user_record(const std::vector<unsigned char>& payload) {
+Expected<ArchiveUserRecord> decode_user_record(codec::ByteReader& in) {
   ArchiveUserRecord rec;
-  std::size_t pos = 4;  // past the type tag
-  const bool ok = logstore::get_u64(payload, pos, rec.user) &&
-                  logstore::get_f64(payload, pos, rec.tolerable_stall) &&
-                  logstore::get_u64(payload, pos, rec.adjusted_days) &&
-                  logstore::get_u64(payload, pos, rec.stats.triggers) &&
-                  logstore::get_u64(payload, pos, rec.stats.optimizations_run) &&
-                  logstore::get_u64(payload, pos, rec.stats.pruned_preplay) &&
-                  logstore::get_u64(payload, pos, rec.stats.mc_evaluations) &&
-                  logstore::get_u64(payload, pos, rec.stats.mc_rollouts_pruned);
-  if (!ok || pos != payload.size()) return Error::corrupt("malformed user record");
+  rec.user = in.u64();
+  rec.tolerable_stall = in.f64();
+  rec.adjusted_days = in.u64();
+  rec.stats.triggers = in.u64();
+  rec.stats.optimizations_run = in.u64();
+  rec.stats.pruned_preplay = in.u64();
+  rec.stats.mc_evaluations = in.u64();
+  rec.stats.mc_rollouts_pruned = in.u64();
+  if (!in.done()) return Error::corrupt("malformed user record");
   return rec;
-}
-
-std::uint32_t record_type(const std::vector<unsigned char>& payload) {
-  std::size_t pos = 0;
-  std::uint32_t type = 0;
-  if (!logstore::get_u32(payload, pos, type)) return 0;
-  return type;
 }
 
 }  // namespace
 
 std::vector<unsigned char> ArchiveManifest::encode() const {
   std::vector<unsigned char> p;
-  logstore::put_u32(p, kArchiveFormatVersion);
-  logstore::put_u64(p, seed);
-  logstore::put_u32(p, config_digest);
-  logstore::put_u64(p, users);
-  logstore::put_u64(p, days);
-  logstore::put_u64(p, sessions_per_user_day);
-  logstore::put_u64(p, warmup_sessions);
-  logstore::put_u64(p, intervention_day);
-  logstore::put_u32(p, enable_lingxi ? 1u : 0u);
-  logstore::put_u64(p, users_per_shard);
-  logstore::put_u64(p, shards.size());
+  codec::ByteWriter out(p);
+  out.u32(kArchiveFormatVersion);
+  out.u64(seed);
+  out.u32(config_digest);
+  out.u64(users);
+  out.u64(days);
+  out.u64(sessions_per_user_day);
+  out.u64(warmup_sessions);
+  out.u64(intervention_day);
+  out.flag(enable_lingxi);
+  out.u64(users_per_shard);
+  out.u64(shards.size());
   for (const auto& shard : shards) {
-    logstore::put_u64(p, shard.first_user);
-    logstore::put_u64(p, shard.user_count);
-    logstore::put_u64(p, shard.record_count);
-    logstore::put_u64(p, shard.byte_count);
+    out.u64(shard.first_user);
+    out.u64(shard.user_count);
+    out.u64(shard.record_count);
+    out.u64(shard.byte_count);
   }
   return p;
 }
 
-Expected<ArchiveManifest> ArchiveManifest::decode(const std::vector<unsigned char>& payload) {
+Expected<ArchiveManifest> ArchiveManifest::decode(codec::ByteSpan payload) {
+  codec::ByteReader in(payload);
   ArchiveManifest m;
-  std::size_t pos = 0;
-  std::uint32_t format = 0, lingxi_flag = 0;
-  std::uint64_t shard_count = 0;
-  const bool ok = logstore::get_u32(payload, pos, format) &&
-                  logstore::get_u64(payload, pos, m.seed) &&
-                  logstore::get_u32(payload, pos, m.config_digest) &&
-                  logstore::get_u64(payload, pos, m.users) &&
-                  logstore::get_u64(payload, pos, m.days) &&
-                  logstore::get_u64(payload, pos, m.sessions_per_user_day) &&
-                  logstore::get_u64(payload, pos, m.warmup_sessions) &&
-                  logstore::get_u64(payload, pos, m.intervention_day) &&
-                  logstore::get_u32(payload, pos, lingxi_flag) &&
-                  logstore::get_u64(payload, pos, m.users_per_shard) &&
-                  logstore::get_u64(payload, pos, shard_count);
-  if (!ok) return Error::corrupt("truncated archive manifest");
+  const std::uint32_t format = in.u32();
+  m.seed = in.u64();
+  m.config_digest = in.u32();
+  m.users = in.u64();
+  m.days = in.u64();
+  m.sessions_per_user_day = in.u64();
+  m.warmup_sessions = in.u64();
+  m.intervention_day = in.u64();
+  m.enable_lingxi = in.flag();
+  m.users_per_shard = in.u64();
+  const std::uint64_t shard_count = in.count64(sizeof(std::uint64_t) * 4);
+  if (!in.ok()) return Error::corrupt("truncated archive manifest or shard index");
   if (format != kArchiveFormatVersion) {
     return Error::corrupt("unsupported archive format version");
   }
   if (shard_count > (1u << 20)) return Error::corrupt("shard count out of range");
-  m.enable_lingxi = lingxi_flag != 0;
   m.shards.resize(shard_count);
   for (auto& shard : m.shards) {
-    if (!logstore::get_u64(payload, pos, shard.first_user) ||
-        !logstore::get_u64(payload, pos, shard.user_count) ||
-        !logstore::get_u64(payload, pos, shard.record_count) ||
-        !logstore::get_u64(payload, pos, shard.byte_count)) {
-      return Error::corrupt("truncated shard index");
-    }
+    shard.first_user = in.u64();
+    shard.user_count = in.u64();
+    shard.record_count = in.u64();
+    shard.byte_count = in.u64();
   }
-  if (pos != payload.size()) return Error::corrupt("trailing bytes in archive manifest");
+  if (!in.done()) return Error::corrupt("malformed archive manifest");
   return m;
 }
 
@@ -148,18 +107,19 @@ std::uint32_t config_digest(const sim::FleetConfig& config) {
   // code, not config, and cannot be hashed — archives produced with
   // different factories but equal configs share a digest.
   std::vector<unsigned char> p;
-  logstore::put_u64(p, config.users);
-  logstore::put_u64(p, config.days);
-  logstore::put_u64(p, config.sessions_per_user_day);
-  logstore::put_u64(p, config.warmup_sessions);
-  logstore::put_u64(p, config.intervention_day);
-  logstore::put_u32(p, config.enable_lingxi ? 1u : 0u);
-  logstore::put_u32(p, config.drift_user_tolerance ? 1u : 0u);
-  logstore::put_f64(p, config.session_jitter_sigma);
+  codec::ByteWriter out(p);
+  out.u64(config.users);
+  out.u64(config.days);
+  out.u64(config.sessions_per_user_day);
+  out.u64(config.warmup_sessions);
+  out.u64(config.intervention_day);
+  out.flag(config.enable_lingxi);
+  out.flag(config.drift_user_tolerance);
+  out.f64(config.session_jitter_sigma);
   for (const abr::QoeParams* params : {&config.fixed_params, &config.lingxi.default_params}) {
-    logstore::put_f64(p, params->stall_penalty);
-    logstore::put_f64(p, params->switch_penalty);
-    logstore::put_f64(p, params->hyb_beta);
+    out.f64(params->stall_penalty);
+    out.f64(params->switch_penalty);
+    out.f64(params->hyb_beta);
   }
   // Population mixture (user::UserPopulation::Config).
   for (double f : {config.population.sensitive_fraction, config.population.threshold_fraction,
@@ -169,47 +129,47 @@ std::uint32_t config_digest(const sim::FleetConfig& config) {
                    config.population.high_tolerance_fraction,
                    config.population.very_high_tolerance_fraction,
                    config.population.stable_fraction, config.population.moderate_fraction}) {
-    logstore::put_f64(p, f);
+    out.f64(f);
   }
   // Network world (trace::PopulationModel::Config).
   for (double f : {config.network.median_bandwidth, config.network.sigma,
                    config.network.min_bandwidth, config.network.max_bandwidth,
                    config.network.relative_sd, config.network.rho}) {
-    logstore::put_f64(p, f);
+    out.f64(f);
   }
   // Video world (trace::VideoGenerator::Config), ladder included.
-  for (Kbps bitrate : config.video.ladder.bitrates()) logstore::put_f64(p, bitrate);
+  for (Kbps bitrate : config.video.ladder.bitrates()) out.f64(bitrate);
   for (double f : {config.video.mean_duration, config.video.min_duration,
                    config.video.max_duration, config.video.segment_duration,
                    config.video.duration_sigma, config.video.vbr_sigma}) {
-    logstore::put_f64(p, f);
+    out.f64(f);
   }
   // LingXi controller knobs that move the assigned parameters.
-  logstore::put_u32(p, config.lingxi.space.optimize_stall ? 1u : 0u);
-  logstore::put_u32(p, config.lingxi.space.optimize_switch ? 1u : 0u);
-  logstore::put_u32(p, config.lingxi.space.optimize_beta ? 1u : 0u);
+  out.flag(config.lingxi.space.optimize_stall);
+  out.flag(config.lingxi.space.optimize_switch);
+  out.flag(config.lingxi.space.optimize_beta);
   for (double f : {config.lingxi.space.stall_min, config.lingxi.space.stall_max,
                    config.lingxi.space.switch_min, config.lingxi.space.switch_max,
                    config.lingxi.space.beta_min, config.lingxi.space.beta_max}) {
-    logstore::put_f64(p, f);
+    out.f64(f);
   }
-  logstore::put_u64(p, config.lingxi.trigger_stall_threshold);
-  logstore::put_u64(p, config.lingxi.obo_rounds);
-  logstore::put_u64(p, config.lingxi.monte_carlo.samples);
-  logstore::put_f64(p, config.lingxi.monte_carlo.sample_duration);
-  logstore::put_u32(p, config.lingxi.enable_preplay_pruning ? 1u : 0u);
-  logstore::put_f64(p, config.lingxi.rollout_rho);
-  logstore::put_f64(p, config.lingxi.rollout_pessimism);
-  logstore::put_f64(p, config.lingxi.adoption_margin);
+  out.u64(config.lingxi.trigger_stall_threshold);
+  out.u64(config.lingxi.obo_rounds);
+  out.u64(config.lingxi.monte_carlo.samples);
+  out.f64(config.lingxi.monte_carlo.sample_duration);
+  out.flag(config.lingxi.enable_preplay_pruning);
+  out.f64(config.lingxi.rollout_rho);
+  out.f64(config.lingxi.rollout_pessimism);
+  out.f64(config.lingxi.adoption_margin);
   // Session simulator / player.
   const sim::SessionSimulator::Config& session = config.session;
-  logstore::put_u64(p, session.throughput_window);
-  logstore::put_f64(p, session.stall_event_threshold);
-  logstore::put_u32(p, session.adaptive_buffer_max ? 1u : 0u);
+  out.u64(session.throughput_window);
+  out.f64(session.stall_event_threshold);
+  out.flag(session.adaptive_buffer_max);
   for (double f : {session.player.rtt, session.player.base_buffer_max,
                    session.player.min_buffer_max, session.player.max_buffer_max,
                    session.player.reference_bandwidth, session.player.startup_buffer}) {
-    logstore::put_f64(p, f);
+    out.f64(f);
   }
   // Scenario script — every event, in script order, so archives and
   // snapshots pin the exact world the run simulated and a resumed leg can
@@ -217,37 +177,37 @@ std::uint32_t config_digest(const sim::FleetConfig& config) {
   // scripts hash byte-identically to pre-scenario digests, keeping every
   // existing archive and snapshot readable.
   if (!config.scenario.empty()) {
-    const auto put_cohort = [&p](const scenario::Cohort& cohort) {
-      logstore::put_u64(p, cohort.first_user);
-      logstore::put_u64(p, cohort.last_user);
-      logstore::put_u64(p, cohort.stride);
-      logstore::put_u64(p, cohort.phase);
+    const auto put_cohort = [&out](const scenario::Cohort& cohort) {
+      out.u64(cohort.first_user);
+      out.u64(cohort.last_user);
+      out.u64(cohort.stride);
+      out.u64(cohort.phase);
     };
-    logstore::put_u64(p, config.scenario.shocks.size());
+    out.u64(config.scenario.shocks.size());
     for (const auto& shock : config.scenario.shocks) {
       put_cohort(shock.cohort);
-      logstore::put_u64(p, shock.first_day);
-      logstore::put_u64(p, shock.last_day);
-      logstore::put_f64(p, shock.bandwidth_scale);
-      logstore::put_f64(p, shock.sd_scale);
+      out.u64(shock.first_day);
+      out.u64(shock.last_day);
+      out.f64(shock.bandwidth_scale);
+      out.f64(shock.sd_scale);
     }
-    logstore::put_u64(p, config.scenario.curves.size());
+    out.u64(config.scenario.curves.size());
     for (const auto& curve : config.scenario.curves) {
       put_cohort(curve.cohort);
-      logstore::put_u64(p, curve.multipliers.size());
-      for (double m : curve.multipliers) logstore::put_f64(p, m);
+      out.u64(curve.multipliers.size());
+      for (double m : curve.multipliers) out.f64(m);
     }
-    logstore::put_u64(p, config.scenario.flash_crowds.size());
+    out.u64(config.scenario.flash_crowds.size());
     for (const auto& crowd : config.scenario.flash_crowds) {
       put_cohort(crowd.cohort);
-      logstore::put_u64(p, crowd.arrival_day);
+      out.u64(crowd.arrival_day);
     }
-    logstore::put_u64(p, config.scenario.churns.size());
+    out.u64(config.scenario.churns.size());
     for (const auto& churn : config.scenario.churns) {
       put_cohort(churn.cohort);
-      logstore::put_u64(p, churn.day);
+      out.u64(churn.day);
     }
-    logstore::put_u64(p, config.scenario.cohorts.size());
+    out.u64(config.scenario.cohorts.size());
     for (const auto& cohort : config.scenario.cohorts) {
       put_cohort(cohort.cohort);
       for (double f :
@@ -256,7 +216,7 @@ std::uint32_t config_digest(const sim::FleetConfig& config) {
             cohort.population.mid_tolerance_fraction, cohort.population.high_tolerance_fraction,
             cohort.population.very_high_tolerance_fraction, cohort.population.stable_fraction,
             cohort.population.moderate_fraction}) {
-        logstore::put_f64(p, f);
+        out.f64(f);
       }
     }
   }
@@ -273,30 +233,31 @@ std::string shard_filename(std::size_t shard_index) {
 
 std::vector<unsigned char> encode_session_record(const ArchiveSessionRecord& rec) {
   std::vector<unsigned char> p;
-  logstore::put_u32(p, kSessionRecord);
-  logstore::put_u64(p, rec.user);
-  logstore::put_u32(p, rec.day);
-  logstore::put_u32(p, rec.session_in_day);
-  logstore::put_u32(p, rec.measured ? 1u : 0u);
-  logstore::put_f64(p, rec.params_after.stall_penalty);
-  logstore::put_f64(p, rec.params_after.switch_penalty);
-  logstore::put_f64(p, rec.params_after.hyb_beta);
-  const auto entry = logstore::encode_session(rec.entry);
-  p.insert(p.end(), entry.begin(), entry.end());
+  codec::ByteWriter out(p);
+  out.u32(kSessionRecord);
+  out.u64(rec.user);
+  out.u32(rec.day);
+  out.u32(rec.session_in_day);
+  out.flag(rec.measured);
+  out.f64(rec.params_after.stall_penalty);
+  out.f64(rec.params_after.switch_penalty);
+  out.f64(rec.params_after.hyb_beta);
+  logstore::encode_session(out, rec.entry);
   return p;
 }
 
 std::vector<unsigned char> encode_user_record(const ArchiveUserRecord& rec) {
   std::vector<unsigned char> p;
-  logstore::put_u32(p, kUserRecord);
-  logstore::put_u64(p, rec.user);
-  logstore::put_f64(p, rec.tolerable_stall);
-  logstore::put_u64(p, rec.adjusted_days);
-  logstore::put_u64(p, rec.stats.triggers);
-  logstore::put_u64(p, rec.stats.optimizations_run);
-  logstore::put_u64(p, rec.stats.pruned_preplay);
-  logstore::put_u64(p, rec.stats.mc_evaluations);
-  logstore::put_u64(p, rec.stats.mc_rollouts_pruned);
+  codec::ByteWriter out(p);
+  out.u32(kUserRecord);
+  out.u64(rec.user);
+  out.f64(rec.tolerable_stall);
+  out.u64(rec.adjusted_days);
+  out.u64(rec.stats.triggers);
+  out.u64(rec.stats.optimizations_run);
+  out.u64(rec.stats.pruned_preplay);
+  out.u64(rec.stats.mc_evaluations);
+  out.u64(rec.stats.mc_rollouts_pruned);
   return p;
 }
 
@@ -305,7 +266,7 @@ Status FleetArchive::write(const std::string& dir) const {
   std::filesystem::create_directories(dir, ec);
   if (ec) return Error::io("cannot create archive directory: " + dir);
   std::vector<unsigned char> manifest_bytes;
-  logstore::write_record(manifest_bytes, manifest.encode());
+  logstore::kRecordFrame.write(manifest_bytes, manifest.encode());
   if (auto s = logstore::write_file(dir + "/" + manifest_filename(), manifest_bytes); !s) {
     return s;
   }
@@ -329,8 +290,9 @@ std::uint32_t FleetArchive::checksum() const {
     // Chain per-shard CRCs through a fixed 8-byte block instead of copying
     // shard bytes: crc32(crc_so_far || crc32(shard)).
     std::vector<unsigned char> link;
-    logstore::put_u32(link, crc);
-    logstore::put_u32(link, crc32(shard.data(), shard.size()));
+    codec::ByteWriter out(link);
+    out.u32(crc);
+    out.u32(crc32(shard.data(), shard.size()));
     crc = crc32(link.data(), link.size());
   }
   return crc;
@@ -371,10 +333,10 @@ Status validate_manifest(const ArchiveManifest& manifest) {
 Expected<ArchiveReader> ArchiveReader::open(const std::string& dir) {
   auto bytes = logstore::read_file(dir + "/" + manifest_filename());
   if (!bytes) return bytes.error();
-  std::size_t pos = 0;
-  auto payload = logstore::read_record(*bytes, pos);
+  codec::ByteReader in(*bytes);
+  auto payload = logstore::kRecordFrame.read(in);
   if (!payload) return payload.error();
-  if (pos != bytes->size()) return Error::corrupt("trailing bytes after archive manifest");
+  if (!in.done()) return Error::corrupt("trailing bytes after archive manifest");
   auto manifest = ArchiveManifest::decode(*payload);
   if (!manifest) return manifest.error();
   if (auto s = validate_manifest(*manifest); !s) return s.error();
@@ -415,31 +377,41 @@ Status ArchiveReader::scan_shard(std::size_t shard_index, std::uint64_t first_us
                                  std::uint64_t last_user, std::uint32_t first_day,
                                  std::uint32_t last_day, const SessionCallback& on_session,
                                  const UserCallback& on_user) const {
+  const ArchiveShardInfo& shard = manifest_.shards[shard_index];
+  // A record must belong to its shard's user range; one that does not would
+  // otherwise be dropped or delivered from the wrong file without notice.
+  const auto outside_shard = [&shard](std::uint64_t user) {
+    return user < shard.first_user || user - shard.first_user >= shard.user_count;
+  };
   const std::string path = dir_ + "/" + shard_filename(shard_index);
   std::ifstream in(path, std::ios::binary);
   if (!in) return Error::io("cannot open archive shard: " + path);
   std::uint64_t records = 0;
   while (in.peek() != std::char_traits<char>::eof()) {
-    auto payload = logstore::read_record(in);
+    auto payload = logstore::kRecordFrame.read(in);
     if (!payload) return payload.error();
     ++records;
-    switch (record_type(*payload)) {
+    codec::ByteReader record(*payload);
+    switch (record.u32()) {
       case kSessionRecord: {
-        SessionPrefix prefix;
-        if (!decode_session_prefix(*payload, prefix)) {
+        ArchiveSessionRecord rec;
+        if (!decode_session_prefix(record, rec)) {
           return Error::corrupt("truncated session record prefix");
         }
-        if (prefix.user < first_user || prefix.user > last_user) break;
-        if (prefix.day < first_day || prefix.day > last_day) break;
+        if (outside_shard(rec.user)) return Error::corrupt("record outside its shard: " + path);
+        if (rec.user < first_user || rec.user > last_user) break;
+        if (rec.day < first_day || rec.day > last_day) break;
         if (!on_session) break;
-        auto rec = decode_session_record(*payload);
-        if (!rec) return rec.error();
-        on_session(*rec);
+        auto entry = logstore::decode_session(record.rest());
+        if (!entry) return entry.error();
+        rec.entry = std::move(*entry);
+        on_session(rec);
         break;
       }
       case kUserRecord: {
-        auto rec = decode_user_record(*payload);
+        auto rec = decode_user_record(record);
         if (!rec) return rec.error();
+        if (outside_shard(rec->user)) return Error::corrupt("record outside its shard: " + path);
         if (rec->user < first_user || rec->user > last_user) break;
         if (on_user) on_user(*rec);
         break;
@@ -456,7 +428,7 @@ Status ArchiveReader::scan_shard(std::size_t shard_index, std::uint64_t first_us
   if (in.bad() || (in.fail() && !in.eof())) {
     return Error::io("archive shard stream failed mid-scan: " + path);
   }
-  if (records != manifest_.shards[shard_index].record_count) {
+  if (records != shard.record_count) {
     return Error::corrupt("shard record count disagrees with manifest: " + path);
   }
   return {};

@@ -3,7 +3,8 @@
 // An archive is a directory holding one manifest plus N shard files, all
 // built from the framed-record primitive of logstore/record.h (magic "LXRC"
 // | u32 version | u32 payload_len | payload | u32 crc32(payload)), so every
-// corruption mode surfaces as Error::kCorrupt.
+// corruption mode surfaces as Error::kCorrupt. Payloads are encoded with the
+// byte codec of common/codec.h.
 //
 // ## Archive format spec (version 1)
 //
@@ -11,7 +12,7 @@
 //   <dir>/shard-NNNN.lxs   framed telemetry records for users
 //                          [NNNN * users_per_shard, (NNNN+1) * users_per_shard)
 //
-// Manifest payload (little-endian, logstore primitive codecs):
+// Manifest payload (little-endian, common/codec.h):
 //   u32 format_version   kArchiveFormatVersion
 //   u64 seed             fleet seed the archive was captured at
 //   u32 config_digest    CRC32 over the result-shaping FleetConfig fields
@@ -36,7 +37,8 @@
 //
 // Within a shard, records are user-major in ascending user order; a user's
 // sessions appear in chronological (day, session) order and are followed by
-// that user's kUserRecord. The embedded SessionLogEntry carries
+// that user's kUserRecord. The reader rejects a record whose user lies
+// outside its shard's range, and a u32 0/1 flag holding any other value. The embedded SessionLogEntry carries
 // timestamp = day * 86400 + session_in_day, so generic logstore tooling can
 // recover the fleet calendar.
 //
@@ -51,6 +53,7 @@
 #include <vector>
 
 #include "abr/qoe.h"
+#include "common/codec.h"
 #include "common/expected.h"
 #include "core/lingxi.h"
 #include "logstore/session_log.h"
@@ -98,7 +101,7 @@ struct ArchiveManifest {
   std::vector<ArchiveShardInfo> shards;
 
   std::vector<unsigned char> encode() const;
-  static Expected<ArchiveManifest> decode(const std::vector<unsigned char>& payload);
+  static Expected<ArchiveManifest> decode(codec::ByteSpan payload);
 };
 
 /// Digest of the FleetConfig fields that shape captured results. Excludes

@@ -52,7 +52,7 @@ void ShardedCapture::record_session(const SessionContext& ctx,
       (static_cast<std::uint64_t>(ctx.day) << 32) | static_cast<std::uint64_t>(ctx.session_in_day);
   LINGXI_DASSERT(at >= buffer.next_expected_at_least);
   buffer.next_expected_at_least = at + 1;
-  logstore::write_record(buffer.bytes, encode_session_record(rec));
+  logstore::kRecordFrame.write(buffer.bytes, encode_session_record(rec));
   ++buffer.records;
 }
 
@@ -64,7 +64,7 @@ void ShardedCapture::record_user(const UserTelemetry& user) {
   rec.adjusted_days = user.adjusted_days;
   rec.stats = user.stats;
   CaptureCursor& buffer = users_[user.user_index];
-  logstore::write_record(buffer.bytes, encode_user_record(rec));
+  logstore::kRecordFrame.write(buffer.bytes, encode_user_record(rec));
   ++buffer.records;
 }
 

@@ -1,4 +1,5 @@
-// Unit tests for lingxi_common: RNG, running stats, CRC32, Expected, JSON.
+// Unit tests for lingxi_common: RNG, running stats, CRC32, Expected, JSON and
+// the byte codec.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/crc32.h"
 #include "common/expected.h"
 #include "common/json.h"
@@ -477,6 +479,148 @@ TEST(Json, FileRoundTripAndMissingFile) {
   auto missing = parse_json_file("json_test_no_such_file.json");
   ASSERT_FALSE(static_cast<bool>(missing));
   EXPECT_EQ(missing.error().code, Error::Code::kIo);
+}
+
+// ---------------------------------------------------------------------------
+// Byte codec.
+// ---------------------------------------------------------------------------
+
+TEST(ByteCodec, RoundTripAllTypes) {
+  std::vector<unsigned char> buf;
+  codec::ByteWriter out(buf);
+  out.u32(0xdeadbeefu);
+  out.u64(0x0123456789abcdefULL);
+  out.f64(-3.14159);
+  out.flag(true);
+  out.str("lxrc");
+  codec::ByteReader in(buf);
+  EXPECT_EQ(in.u32(), 0xdeadbeefu);
+  EXPECT_EQ(in.u64(), 0x0123456789abcdefULL);
+  EXPECT_DOUBLE_EQ(in.f64(), -3.14159);
+  EXPECT_TRUE(in.flag());
+  EXPECT_EQ(in.str(), "lxrc");
+  EXPECT_TRUE(in.done());
+}
+
+TEST(ByteCodec, LayoutIsLittleEndian) {
+  std::vector<unsigned char> buf;
+  codec::ByteWriter out(buf);
+  out.u32(0x04030201u);
+  out.u64(0x0c0b0a0908070605ULL);
+  out.f64(1.0);  // IEEE-754 0x3ff0000000000000
+  out.str("ab");
+  const std::vector<unsigned char> expected = {
+      1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 2, 0, 0, 0, 'a', 'b'};
+  EXPECT_EQ(buf, expected);
+}
+
+TEST(ByteCodec, ReadPastEndFailsStickily) {
+  const std::vector<unsigned char> buf{1, 2, 3, 4, 5, 6};
+  codec::ByteReader in(buf);
+  EXPECT_EQ(in.u32(), 0x04030201u);
+  EXPECT_TRUE(in.ok());
+  EXPECT_EQ(in.u32(), 0u);  // two bytes left: fails
+  EXPECT_FALSE(in.ok());
+  // Once failed, every read returns zero and nothing is consumed or decoded,
+  // even a read that would fit.
+  EXPECT_EQ(in.bytes(1).size(), 0u);
+  EXPECT_EQ(in.str(), "");
+  EXPECT_EQ(in.count(1), 0u);
+  EXPECT_EQ(in.remaining(), 0u);
+  EXPECT_FALSE(in.ok());
+  EXPECT_FALSE(in.done());
+}
+
+TEST(ByteCodec, FlagAcceptsOnlyZeroOrOne) {
+  std::vector<unsigned char> buf;
+  codec::ByteWriter out(buf);
+  out.u32(0);
+  out.u32(1);
+  out.u32(2);
+  codec::ByteReader in(buf);
+  EXPECT_FALSE(in.flag());
+  EXPECT_TRUE(in.flag());
+  EXPECT_TRUE(in.ok());
+  in.flag();
+  EXPECT_FALSE(in.ok());
+}
+
+TEST(ByteCodec, CountRefusalAtTheBoundary) {
+  // A count of 3 followed by exactly 3 x 8 bytes is accepted; one byte less
+  // and the same count is refused before anything could be allocated.
+  for (const std::size_t tail : {std::size_t{24}, std::size_t{23}}) {
+    std::vector<unsigned char> buf(4 + tail);
+    buf[0] = 3;  // little-endian u32 count
+    codec::ByteReader in(buf);
+    const std::uint32_t n = in.count(8);
+    if (tail == 24) {
+      EXPECT_EQ(n, 3u);
+      EXPECT_TRUE(in.ok());
+      EXPECT_EQ(in.remaining(), 24u);
+    } else {
+      EXPECT_EQ(n, 0u);
+      EXPECT_FALSE(in.ok());
+    }
+  }
+}
+
+TEST(ByteCodec, CountCheckCannotOverflow) {
+  // 2^61 elements of 8 bytes is 2^64 bytes, which wraps to 0 in a naive
+  // 64-bit multiply and would pass `n * size <= remaining`.
+  std::vector<unsigned char> buf(8 + 16);
+  buf[7] = 0x20;  // little-endian u64 count 2^61
+  codec::ByteReader in(buf);
+  EXPECT_EQ(in.count64(8), 0u);
+  EXPECT_FALSE(in.ok());
+
+  const std::vector<unsigned char> sixteen(16);
+  codec::ByteReader held(sixteen);
+  EXPECT_TRUE(held.holds(2, 8));
+  EXPECT_TRUE(held.holds(0, 1u << 30));
+  EXPECT_FALSE(held.holds(~0ULL, 2));
+  EXPECT_FALSE(held.ok());
+}
+
+TEST(ByteCodec, BytesAndRestAreViewsIntoTheInput) {
+  const std::vector<unsigned char> buf{9, 8, 7, 6, 5};
+  codec::ByteReader in(buf);
+  const codec::ByteSpan head = in.bytes(2);
+  ASSERT_EQ(head.size(), 2u);
+  EXPECT_EQ(head.data(), buf.data());
+  const codec::ByteSpan rest = in.rest();
+  EXPECT_EQ(rest.data(), buf.data() + 2);
+  EXPECT_EQ(rest.size(), 3u);
+  EXPECT_TRUE(in.done());
+}
+
+TEST(ByteCodec, FrameRoundTripAndChecks) {
+  constexpr codec::Frame kFrame{"test", "TEST", 7, 16};
+  std::vector<unsigned char> bytes;
+  kFrame.write(bytes, std::vector<unsigned char>{1, 2, 3});
+  ASSERT_EQ(bytes.size(), 12u + 3u + 4u);
+  EXPECT_EQ(std::string(bytes.begin(), bytes.begin() + 4), "TEST");
+  {
+    codec::ByteReader in(bytes);
+    const auto payload = kFrame.read(in);
+    ASSERT_TRUE(payload.has_value());
+    EXPECT_EQ(std::vector<unsigned char>(payload->begin(), payload->end()),
+              (std::vector<unsigned char>{1, 2, 3}));
+    EXPECT_TRUE(in.done());
+  }
+  // Another format's magic, a payload over the ceiling and a flipped
+  // payload bit are each kCorrupt, and fail the reader.
+  constexpr codec::Frame kOther{"other", "OTHR", 7, 16};
+  constexpr codec::Frame kTiny{"tiny", "TEST", 7, 2};
+  auto flipped = bytes;
+  flipped[13] ^= 0x40;
+  for (const auto& [frame, input] :
+       {std::pair{&kOther, bytes}, std::pair{&kTiny, bytes}, std::pair{&kFrame, flipped}}) {
+    codec::ByteReader in(input);
+    const auto payload = frame->read(in);
+    ASSERT_FALSE(payload.has_value());
+    EXPECT_EQ(payload.error().code, Error::Code::kCorrupt);
+    EXPECT_FALSE(in.ok());
+  }
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Unit tests for lingxi_logstore: record framing (in-memory and streaming),
-// primitive codecs, session-log error paths and the durable per-user state
-// store.
+// session-log error paths, the durable per-user state store and byte pins of
+// both file formats. The byte codec itself is tested in test_common.cpp.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <initializer_list>
 #include <sstream>
 
+#include "common/codec.h"
+#include "common/crc32.h"
 #include "logstore/record.h"
 #include "logstore/session_log.h"
 #include "logstore/state_store.h"
@@ -13,96 +16,95 @@
 namespace lingxi::logstore {
 namespace {
 
+using Bytes = std::vector<unsigned char>;
+
+Bytes framed(std::initializer_list<Bytes> payloads) {
+  Bytes out;
+  for (const Bytes& p : payloads) kRecordFrame.write(out, p);
+  return out;
+}
+
+Bytes payload_of(const Expected<codec::ByteSpan>& r) { return Bytes(r->begin(), r->end()); }
+
 TEST(Record, RoundTrip) {
-  std::vector<unsigned char> payload{1, 2, 3, 4, 5};
-  std::vector<unsigned char> bytes;
-  write_record(bytes, payload);
-  std::size_t pos = 0;
-  const auto r = read_record(bytes, pos);
+  const Bytes payload{1, 2, 3, 4, 5};
+  const Bytes bytes = framed({payload});
+  codec::ByteReader in(bytes);
+  const auto r = kRecordFrame.read(in);
   ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(*r, payload);
-  EXPECT_EQ(pos, bytes.size());
+  EXPECT_EQ(payload_of(r), payload);
+  EXPECT_TRUE(in.done());
 }
 
 TEST(Record, MultipleRecordsSequential) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {10});
-  write_record(bytes, {20, 21});
-  std::size_t pos = 0;
-  const auto a = read_record(bytes, pos);
-  const auto b = read_record(bytes, pos);
+  const Bytes bytes = framed({{10}, {20, 21}});
+  codec::ByteReader in(bytes);
+  const auto a = kRecordFrame.read(in);
+  const auto b = kRecordFrame.read(in);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(a->size(), 1u);
   EXPECT_EQ(b->size(), 2u);
-  EXPECT_EQ(pos, bytes.size());
+  EXPECT_TRUE(in.done());
 }
 
 TEST(Record, EmptyPayloadAllowed) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {});
-  std::size_t pos = 0;
-  const auto r = read_record(bytes, pos);
+  const Bytes bytes = framed({{}});
+  codec::ByteReader in(bytes);
+  const auto r = kRecordFrame.read(in);
   ASSERT_TRUE(r.has_value());
   EXPECT_TRUE(r->empty());
 }
 
 TEST(Record, DetectsBitFlipInPayload) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {1, 2, 3, 4});
+  Bytes bytes = framed({{1, 2, 3, 4}});
   bytes[13] ^= 0x01;  // somewhere inside the payload
-  std::size_t pos = 0;
-  const auto r = read_record(bytes, pos);
+  codec::ByteReader in(bytes);
+  const auto r = kRecordFrame.read(in);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
 }
 
 TEST(Record, DetectsTruncation) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {1, 2, 3, 4});
+  Bytes bytes = framed({{1, 2, 3, 4}});
   bytes.resize(bytes.size() - 2);
-  std::size_t pos = 0;
-  EXPECT_FALSE(read_record(bytes, pos).has_value());
+  codec::ByteReader in(bytes);
+  EXPECT_FALSE(kRecordFrame.read(in).has_value());
 }
 
 TEST(Record, DetectsBadMagic) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {1});
+  Bytes bytes = framed({{1}});
   bytes[0] = 'Z';
-  std::size_t pos = 0;
-  EXPECT_FALSE(read_record(bytes, pos).has_value());
+  codec::ByteReader in(bytes);
+  EXPECT_FALSE(kRecordFrame.read(in).has_value());
 }
 
 TEST(Record, DetectsBadVersion) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {1, 2, 3});
+  Bytes bytes = framed({{1, 2, 3}});
   bytes[4] = 0x63;  // version is the little-endian u32 right after the magic
-  std::size_t pos = 0;
-  const auto r = read_record(bytes, pos);
+  codec::ByteReader in(bytes);
+  const auto r = kRecordFrame.read(in);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
 }
 
 TEST(Record, StreamingRoundTrip) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {10});
-  write_record(bytes, {20, 21});
+  const Bytes bytes = framed({{10}, {20, 21}});
   std::istringstream in(std::string(bytes.begin(), bytes.end()));
-  const auto a = read_record(in);
-  const auto b = read_record(in);
+  const auto a = kRecordFrame.read(in);
+  const auto b = kRecordFrame.read(in);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->size(), 1u);
-  EXPECT_EQ(b->size(), 2u);
+  EXPECT_EQ(*a, Bytes{10});
+  EXPECT_EQ(*b, (Bytes{20, 21}));
   EXPECT_EQ(in.peek(), std::char_traits<char>::eof());
 }
 
 TEST(Record, StreamingDetectsTruncationAndBitFlip) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {1, 2, 3, 4});
+  const Bytes bytes = framed({{1, 2, 3, 4}});
   {
     std::istringstream in(std::string(bytes.begin(), bytes.end() - 2));
-    const auto r = read_record(in);
+    const auto r = kRecordFrame.read(in);
     ASSERT_FALSE(r.has_value());
     EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
   }
@@ -110,35 +112,36 @@ TEST(Record, StreamingDetectsTruncationAndBitFlip) {
     auto flipped = bytes;
     flipped[13] ^= 0x01;
     std::istringstream in(std::string(flipped.begin(), flipped.end()));
-    const auto r = read_record(in);
+    const auto r = kRecordFrame.read(in);
     ASSERT_FALSE(r.has_value());
     EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
   }
 }
 
-TEST(Primitives, RoundTripAllTypes) {
-  std::vector<unsigned char> buf;
-  put_u32(buf, 0xdeadbeefu);
-  put_u64(buf, 0x0123456789abcdefULL);
-  put_f64(buf, -3.14159);
-  std::size_t pos = 0;
-  std::uint32_t a = 0;
-  std::uint64_t b = 0;
-  double c = 0.0;
-  ASSERT_TRUE(get_u32(buf, pos, a));
-  ASSERT_TRUE(get_u64(buf, pos, b));
-  ASSERT_TRUE(get_f64(buf, pos, c));
-  EXPECT_EQ(a, 0xdeadbeefu);
-  EXPECT_EQ(b, 0x0123456789abcdefULL);
-  EXPECT_DOUBLE_EQ(c, -3.14159);
-  EXPECT_EQ(pos, buf.size());
+TEST(Record, StreamingPayloadLargerThanOneChunkRoundTrips) {
+  Bytes payload(10000);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<unsigned char>(i * 7);
+  const Bytes bytes = framed({payload, {5}});
+  std::istringstream in(std::string(bytes.begin(), bytes.end()));
+  const auto a = kRecordFrame.read(in);
+  const auto b = kRecordFrame.read(in);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(*a, payload);
+  EXPECT_EQ(*b, Bytes{5});
 }
 
-TEST(Primitives, ReadPastEndFails) {
-  std::vector<unsigned char> buf{1, 2};
-  std::size_t pos = 0;
-  std::uint32_t v = 0;
-  EXPECT_FALSE(get_u32(buf, pos, v));
+TEST(Record, StreamingHeaderClaimingHugePayloadIsCorrupt) {
+  // A valid 12-byte header claiming the 64 MiB ceiling, then nothing: the
+  // reader must report truncation after reading what is there.
+  Bytes bytes = framed({{}});
+  bytes.resize(12);
+  const std::uint32_t len = 64u << 20;
+  for (int i = 0; i < 4; ++i) bytes[8 + i] = static_cast<unsigned char>(len >> (8 * i));
+  std::istringstream in(std::string(bytes.begin(), bytes.end()));
+  const auto r = kRecordFrame.read(in);
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
 }
 
 SessionLogEntry sample_entry() {
@@ -164,7 +167,10 @@ SessionLogEntry sample_entry() {
 
 TEST(SessionLog, CodecPreservesSessionAggregates) {
   const SessionLogEntry e = sample_entry();
-  const auto decoded = decode_session(encode_session(e));
+  Bytes payload;
+  codec::ByteWriter out(payload);
+  encode_session(out, e);
+  const auto decoded = decode_session(payload);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, e);
   EXPECT_EQ(decoded->session.stall_events, 3u);
@@ -248,6 +254,44 @@ TEST(StateStore, DecodeRejectsTrailingGarbage) {
   auto payload = StateStore::encode(1, sample_state());
   payload.push_back(0xab);
   EXPECT_FALSE(StateStore::decode(payload).has_value());
+}
+
+// Byte pins recorded before the shared byte codec replaced logstore's own
+// helpers: a session log of fixed entries and a one-entry state-store file.
+TEST(Golden, SessionLogBytesArePinned) {
+  SessionLogWriter writer;
+  SessionLogEntry e = sample_entry();
+  writer.append(e);
+  e.user_id = 10;
+  e.timestamp = 86402;
+  e.session.exited = false;
+  sim::SegmentRecord seg;
+  seg.level = 1;
+  seg.position = 2.0;
+  seg.bitrate = 750.0;
+  seg.size = 1.5e6;
+  seg.throughput = 2400.0;
+  seg.download_time = 0.625;
+  seg.buffer_before = 3.0;
+  seg.buffer_after = 4.5;
+  seg.cumulative_stall = 1.5;
+  seg.cumulative_stall_events = 1;
+  e.session.segments.push_back(seg);
+  writer.append(e);
+  const auto& bytes = writer.bytes();
+  EXPECT_EQ(bytes.size(), 416u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x2ada939bu);
+}
+
+TEST(Golden, StateStoreFileBytesArePinned) {
+  StateStore store;
+  store.put(77, sample_state());
+  const std::string path = ::testing::TempDir() + "/lingxi_state_golden.bin";
+  ASSERT_TRUE(store.save(path).ok());
+  const auto bytes = read_file(path);
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_EQ(bytes->size(), 136u);
+  EXPECT_EQ(crc32(bytes->data(), bytes->size()), 0xf84ac35eu);
 }
 
 TEST(StateStore, PutGetContains) {

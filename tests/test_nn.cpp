@@ -15,6 +15,7 @@
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "nn/tensor.h"
+#include "predictor/exit_net.h"
 
 namespace lingxi::nn {
 namespace {
@@ -379,6 +380,25 @@ TEST(SerializeModel, RejectsCrcFlip) {
   const auto status = load_conv1d(layer, bytes);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, Error::Code::kCorrupt);
+}
+
+// Byte pins of both nn formats, recorded before the shared byte codec
+// replaced serialize.cpp's own helpers: the layouts must not move.
+TEST(SerializeGolden, TensorBlobBytesArePinned) {
+  Tensor a = Tensor::vector({1.5, -2.5, 3.25});
+  Tensor b({2, 3}, {1.0, -0.0, 0.125, 1e300, -7.75, 2.0});
+  Tensor c({2, 1, 2}, {0.5, 0.25, -1.0, 4.0});
+  const auto bytes = serialize_tensors({&a, &b, &c});
+  EXPECT_EQ(bytes.size(), 180u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x45bbd07bu);
+}
+
+TEST(SerializeGolden, StallExitNetContainerBytesArePinned) {
+  Rng rng(4242);
+  const predictor::StallExitNet net(rng);
+  const auto bytes = serialize_model(kModelKindStallExitNet, net.weights());
+  EXPECT_EQ(bytes.size(), 833856u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0xfa844b43u);
 }
 
 TEST(HeInit, BoundsRespectFanIn) {

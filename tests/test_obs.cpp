@@ -631,6 +631,53 @@ TEST(ObsTimeline, UnsupportedFrameVersionRejected) {
   std::remove(path.c_str());
 }
 
+// Byte pin of a timeline written from a hand-built snapshot (counter,
+// deterministic gauge, histogram) plus one alert, recorded before the shared
+// byte codec replaced the timeline's own helpers and frame code.
+TEST(ObsTimeline, GoldenFileBytesArePinned) {
+  RegistrySnapshot snap;
+  MetricSnapshot counter;
+  counter.name = "sched.waves";
+  counter.kind = MetricKind::kCounter;
+  counter.count = 7;
+  MetricSnapshot gauge;
+  gauge.name = "sim.fleet.sessions_total";
+  gauge.kind = MetricKind::kGauge;
+  gauge.value = 220.5;
+  MetricSnapshot hist;
+  hist.name = "sim.step_us";
+  hist.kind = MetricKind::kHistogram;
+  hist.count = 3;
+  hist.value = 4.5;
+  hist.min = 0.5;
+  hist.max = 2.5;
+  hist.bounds = {1.0, 2.0};
+  hist.buckets = {1, 1, 1};
+  snap.metrics = {counter, gauge, hist};
+  HealthAlert alert;
+  alert.day = 4;
+  alert.rule = "floor:sim.fleet.completion_rate";
+  alert.metric = "sim.fleet.completion_rate";
+  alert.observed = 0.4;
+  alert.threshold = 0.9;
+  alert.message = "completion rate 0.4 below floor 0.9";
+
+  const std::string path = "obs_timeline_golden.bin";
+  {
+    TimelineWriter writer(path);
+    writer.append_day(4, snap);
+    writer.append_alert(alert);
+    ASSERT_TRUE(writer.close().ok());
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string bytes = buf.str();
+  EXPECT_EQ(bytes.size(), 463u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0xee6f276fu);
+  std::remove(path.c_str());
+}
+
 TEST(ObsTimeline, MissingFileIsIoError) {
   auto reader = TimelineReader::open("obs_timeline_does_not_exist.bin");
   ASSERT_FALSE(static_cast<bool>(reader));

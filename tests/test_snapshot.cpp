@@ -14,6 +14,7 @@
 
 #include "abr/hyb.h"
 #include "bayesopt/obo.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "logstore/record.h"
 #include "nn/serialize.h"
@@ -333,6 +334,22 @@ TEST(SnapshotDisk, SaveLoadRoundTrip) {
   EXPECT_TRUE(snapshot::check_compatible(*loaded, leg.cfg, 77).ok());
 }
 
+// Byte pins of a small fleet snapshot's manifest and first state shard,
+// recorded before the shared byte codec replaced logstore's own helpers.
+TEST(SnapshotDisk, GoldenManifestAndStateShardBytesArePinned) {
+  const SavedLeg leg = make_saved_leg();
+  const std::string dir = fresh_dir("golden");
+  ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir).ok());
+  const auto manifest = logstore::read_file(dir + "/" + snapshot::manifest_filename());
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_EQ(manifest->size(), 256u);
+  EXPECT_EQ(crc32(manifest->data(), manifest->size()), 0x4a2f9169u);
+  const auto state = logstore::read_file(dir + "/" + snapshot::state_filename(0));
+  ASSERT_TRUE(state.has_value());
+  EXPECT_EQ(state->size(), 110048u);
+  EXPECT_EQ(crc32(state->data(), state->size()), 0xd9a5e77cu);
+}
+
 TEST(SnapshotDisk, MissingDirectoryIsIoError) {
   const auto loaded = snapshot::load_snapshot(fresh_dir("nonexistent"));
   ASSERT_FALSE(loaded.has_value());
@@ -360,14 +377,15 @@ TEST(SnapshotDisk, RejectsBadFormatVersion) {
   const std::string path = dir + "/" + snapshot::manifest_filename();
   auto bytes = logstore::read_file(path);
   ASSERT_TRUE(bytes.has_value());
-  std::size_t pos = 0;
-  auto payload = logstore::read_record(*bytes, pos);
-  ASSERT_TRUE(payload.has_value());
+  codec::ByteReader in(*bytes);
+  auto frame = logstore::kRecordFrame.read(in);
+  ASSERT_TRUE(frame.has_value());
   // Clobber the leading format_version u32 and re-frame with a fresh record
   // CRC: only the version check can reject it.
-  (*payload)[0] = 0x55;
+  std::vector<unsigned char> payload(frame->begin(), frame->end());
+  payload[0] = 0x55;
   std::vector<unsigned char> framed;
-  logstore::write_record(framed, *payload);
+  logstore::kRecordFrame.write(framed, payload);
   ASSERT_TRUE(logstore::write_file(path, framed).ok());
   const auto loaded = snapshot::load_snapshot(dir);
   ASSERT_FALSE(loaded.has_value());
@@ -379,27 +397,28 @@ TEST(SnapshotDisk, RejectsAbsurdUserCountInsteadOfAllocating) {
   // bounded decoder — never drive the user-table allocation (bad_alloc /
   // abort). Built by hand, following the format spec in snapshot.h.
   std::vector<unsigned char> payload;
-  logstore::put_u32(payload, snapshot::kSnapshotFormatVersion);
-  logstore::put_u64(payload, 77);        // seed
-  logstore::put_u32(payload, 0);         // resume digest
+  codec::ByteWriter out(payload);
+  out.u32(snapshot::kSnapshotFormatVersion);
+  out.u64(77);  // seed
+  out.u32(0);  // resume digest
   const std::uint64_t absurd_users = 1ULL << 50;
-  logstore::put_u64(payload, absurd_users);
-  logstore::put_u64(payload, 2);         // next_day
-  logstore::put_u64(payload, 64);        // users_per_shard
-  logstore::put_u32(payload, 0);         // has_net
-  logstore::put_u32(payload, 0);         // net_crc
-  logstore::put_u32(payload, 0);         // has_capture
-  for (int i = 0; i < 19; ++i) logstore::put_u64(payload, 0);  // accumulator
-  logstore::put_u64(payload, 1);         // shard_count
-  logstore::put_u64(payload, 0);         // shard first_user
-  logstore::put_u64(payload, absurd_users);
-  logstore::put_u64(payload, 0);         // byte_count
-  logstore::put_u32(payload, 0);         // crc
+  out.u64(absurd_users);
+  out.u64(2);  // next_day
+  out.u64(64);  // users_per_shard
+  out.u32(0);  // has_net
+  out.u32(0);  // net_crc
+  out.u32(0);  // has_capture
+  for (int i = 0; i < 19; ++i) out.u64(0);  // accumulator
+  out.u64(1);  // shard_count
+  out.u64(0);  // shard first_user
+  out.u64(absurd_users);
+  out.u64(0);  // byte_count
+  out.u32(0);  // crc
 
   const std::string dir = fresh_dir("absurd-users");
   std::filesystem::create_directories(dir);
   std::vector<unsigned char> framed;
-  logstore::write_record(framed, payload);
+  logstore::kRecordFrame.write(framed, payload);
   ASSERT_TRUE(logstore::write_file(dir + "/" + snapshot::manifest_filename(), framed).ok());
 
   const auto loaded = snapshot::load_snapshot(dir);

@@ -316,7 +316,7 @@ TEST(ArchiveReader, DetectsManifestTruncatedMidShardEntry) {
   auto payload = archive.manifest.encode();
   payload.resize(payload.size() - 12);
   std::vector<unsigned char> framed;
-  logstore::write_record(framed, payload);
+  logstore::kRecordFrame.write(framed, payload);
   ASSERT_TRUE(
       logstore::write_file(dir + "/" + telemetry::manifest_filename(), framed).ok());
 
@@ -336,7 +336,7 @@ TEST(ArchiveReader, RejectsShardTableNotCoveringUsers) {
   ASSERT_GE(manifest.shards.size(), 1u);
   manifest.shards.clear();  // claims users but covers none
   std::vector<unsigned char> framed;
-  logstore::write_record(framed, manifest.encode());
+  logstore::kRecordFrame.write(framed, manifest.encode());
   ASSERT_TRUE(
       logstore::write_file(dir + "/" + telemetry::manifest_filename(), framed).ok());
 
@@ -355,7 +355,7 @@ TEST(ArchiveReader, RejectsBadManifestVersion) {
   auto payload = archive.manifest.encode();
   payload[0] = 0x63;
   std::vector<unsigned char> framed;
-  logstore::write_record(framed, payload);
+  logstore::kRecordFrame.write(framed, payload);
   ASSERT_TRUE(
       logstore::write_file(dir + "/" + telemetry::manifest_filename(), framed).ok());
 
@@ -372,7 +372,7 @@ TEST(Replay, RejectsManifestDayCountDisagreeingWithShards) {
   telemetry::ArchiveManifest manifest = archive.manifest;
   manifest.days -= 1;
   std::vector<unsigned char> framed;
-  logstore::write_record(framed, manifest.encode());
+  logstore::kRecordFrame.write(framed, manifest.encode());
   ASSERT_TRUE(
       logstore::write_file(dir + "/" + telemetry::manifest_filename(), framed).ok());
 
