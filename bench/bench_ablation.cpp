@@ -47,14 +47,15 @@ void ablate_mc_samples(const bench::TrainedPredictor& predictor) {
     mc.enable_pruning = false;
     const sim::MonteCarloEvaluator eval(mc, {});
     const auto video = eval.make_virtual_video(trace::BitrateLadder::default_ladder(), 1.0);
+    const predictor::HybridExitPredictor hybrid = predictor.make();
+    const predictor::BatchPredictorExitEvaluator exits(hybrid, state, 1.0);
+    abr::Hyb hyb;
+    const trace::NormalBandwidth bw(900.0, 300.0);
     RunningStats runs;
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
-      abr::Hyb hyb;
-      predictor::PredictorExitModel exit_model(predictor.make(), state, 1.0);
-      trace::NormalBandwidth bw(900.0, 300.0);
       Rng rng(seed);
-      runs.add(eval.evaluate(video, hyb, exit_model, bw, 2.0,
-                             std::numeric_limits<double>::infinity(), rng)
+      runs.add(eval.evaluate_rollouts(video, hyb, exits, bw, 2.0,
+                                      std::numeric_limits<double>::infinity(), rng)
                    .exit_rate);
     }
     std::printf("%-10zu %-14.4f %-14.4f\n", samples, runs.mean(), runs.stddev());

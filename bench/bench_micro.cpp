@@ -146,12 +146,13 @@ void BM_MonteCarloEvaluation(benchmark::State& state) {
   mc.enable_pruning = false;
   const sim::MonteCarloEvaluator eval(mc, {});
   const auto video = eval.make_virtual_video(trace::BitrateLadder::default_ladder(), 1.0);
+  const predictor::HybridExitPredictor hybrid(net, os);
+  const predictor::BatchPredictorExitEvaluator exits(hybrid, seed, 1.0);
   abr::Hyb hyb;
-  trace::NormalBandwidth bw(1200.0, 300.0);
+  const trace::NormalBandwidth bw(1200.0, 300.0);
   for (auto _ : state) {
-    predictor::PredictorExitModel exits({net, os}, seed, 1.0);
-    benchmark::DoNotOptimize(eval.evaluate(video, hyb, exits, bw, 2.0,
-                                           std::numeric_limits<double>::infinity(), rng));
+    benchmark::DoNotOptimize(eval.evaluate_rollouts(
+        video, hyb, exits, bw, 2.0, std::numeric_limits<double>::infinity(), rng));
   }
 }
 BENCHMARK(BM_MonteCarloEvaluation)->Arg(8)->Arg(32);
@@ -169,10 +170,12 @@ void BM_GpUpdateAndPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_GpUpdateAndPredict)->Arg(8)->Arg(32);
 
-// Building an n-observation GP one observe() at a time: the incremental
-// rank-1 Cholesky extension (production path, O(n^2) per observation) vs
-// the forced full refactorization (O(n^3) per observation). Both produce
-// identical factors bit for bit; the gap is the point of the fast path.
+// Building an n-observation GP one observation at a time: the incremental
+// rank-1 Cholesky extension (production path, O(n^2) per observation) vs a
+// from-scratch refactorization after every observation
+// (GaussianProcess::refit_from, O(n^3) per observation, plus a copy of the
+// growing state). Both produce identical factors bit for bit; the gap is the
+// point of the fast path.
 void BM_GpRefitIncremental(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
@@ -191,15 +194,15 @@ BENCHMARK(BM_GpRefitIncremental)->Arg(4)->Arg(16)->Arg(64);
 void BM_GpRefitFull(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
-  bayesopt::GaussianProcess::set_full_refit_for_testing(true);
   for (auto _ : state) {
-    bayesopt::GaussianProcess gp;
+    bayesopt::GpState observed;
     for (std::size_t i = 0; i < n; ++i) {
-      gp.observe({rng.uniform(), rng.uniform()}, rng.uniform());
+      observed.xs.push_back({rng.uniform(), rng.uniform()});
+      observed.ys.push_back(rng.uniform());
+      const auto gp = bayesopt::GaussianProcess::refit_from(observed);
+      benchmark::DoNotOptimize(gp.factor().data());
     }
-    benchmark::DoNotOptimize(gp.factor().data());
   }
-  bayesopt::GaussianProcess::set_full_refit_for_testing(false);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }

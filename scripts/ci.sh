@@ -4,9 +4,10 @@
 #     and the `fleet` label (FleetRunner substrate + experiment drivers) are
 #     re-run explicitly, so a label regression fails loudly on every push;
 #     the `bayesopt` label pins the optimizer fast path (incremental
-#     Cholesky == full refit, batched-acquisition parity), and the nn suite
-#     re-runs under LINGXI_DENSE_ISA=scalar/avx2 so both dispatchable
-#     dense kernels prove bitwise parity on the CI host;
+#     Cholesky == the full-refit reference, which the test calls explicitly
+#     through GaussianProcess::refit_from; batched-acquisition parity), and
+#     the nn suite re-runs under LINGXI_DENSE_ISA=scalar/avx2 so both
+#     dispatchable dense kernels prove bitwise parity on the CI host;
 #     finally the fleet_scaling smoke JSON is gated on non-regressing
 #     sessions/sec ratios (width-64 vs width-1 waves, 3-user vs 1-user
 #     shards), each arm the median of 3 interleaved serial runs;
@@ -19,6 +20,10 @@
 #     contract extended across shard sizes. The machine-readable
 #     summary (rates, occupancy, checksums) lands in
 #     ${BUILD_DIR}/smoke/fleet_scaling.json for the artifact upload;
+#   * the ablation smoke (bench_ablation, every mode, sanitizers included):
+#     the Monte Carlo sample-count, pruning, trigger-threshold and BO-vs-
+#     random ablations, which drive MonteCarloEvaluator::evaluate_rollouts
+#     and core::LingXi directly, outside any fleet;
 #   * a telemetry capture->replay round-trip smoke (Fig. 12 A/B on 64
 #     users): simulate both arms once, archive them, recompute the DiD
 #     series from the archives, and exit non-zero unless the replayed
@@ -63,10 +68,10 @@
 # Debug, -O1, assertions on) and skip the timing gates, whose thresholds
 # mean nothing under instrumentation:
 #   * asan: AddressSanitizer + UndefinedBehaviorSanitizer (any report is
-#     fatal) over the full suite, plus the nn suite under each forced dense
-#     ISA (scalar, avx2);
-#   * tsan: ThreadSanitizer over the full suite and the multi-threaded
-#     smokes — bench_fleet_scaling (fleet workers share one predictor and
+#     fatal) over the full suite and the ablation smoke, plus the nn suite
+#     under each forced dense ISA (scalar, avx2);
+#   * tsan: ThreadSanitizer over the full suite, the ablation smoke and the
+#     multi-threaded smokes — bench_fleet_scaling (fleet workers share one predictor and
 #     its net), the scenario smoke and the crash-recovery fork + SIGKILL
 #     legs.
 #
@@ -138,6 +143,11 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 SMOKE_DIR="${BUILD_DIR}/smoke"
 rm -rf "${SMOKE_DIR}"
 mkdir -p "${SMOKE_DIR}"
+
+# Ablation smoke, in every mode: a crash, a failed assertion or a sanitizer
+# report exits non-zero. Its printed numbers are informational (no golden).
+"${BUILD_DIR}/bench/bench_ablation" > "${SMOKE_DIR}/ablation.txt"
+echo "ablation smoke OK"
 
 if [ "${MODE}" = "asan" ]; then
   for isa in scalar avx2; do

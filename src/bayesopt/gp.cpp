@@ -1,6 +1,5 @@
 #include "bayesopt/gp.h"
 
-#include <atomic>
 #include <cmath>
 
 #include "common/assert.h"
@@ -12,17 +11,7 @@ namespace {
 // Offset of packed lower-triangular row i.
 constexpr std::size_t tri(std::size_t i) { return i * (i + 1) / 2; }
 
-std::atomic<bool> g_full_refit{false};
-
 }  // namespace
-
-void GaussianProcess::set_full_refit_for_testing(bool force) {
-  g_full_refit.store(force, std::memory_order_relaxed);
-}
-
-bool GaussianProcess::full_refit_forced() {
-  return g_full_refit.load(std::memory_order_relaxed);
-}
 
 GaussianProcess::GaussianProcess() : GaussianProcess(GpConfig{}) {}
 
@@ -52,12 +41,8 @@ void GaussianProcess::observe(const std::vector<double>& x, double y) {
   // Strict < keeps the first minimum on ties, matching the min_element scan
   // this running index replaced.
   if (ys_.size() == 1 || y < ys_[best_index_]) best_index_ = ys_.size() - 1;
-  if (full_refit_forced()) {
-    refit();
-  } else {
-    extend_factor(xs_.size() - 1);
-    recompute_alpha();
-  }
+  extend_factor(xs_.size() - 1);
+  recompute_alpha();
 }
 
 // Appends row i to the packed factor. A row-ordered Cholesky computes row i
@@ -111,7 +96,7 @@ void GaussianProcess::recompute_alpha() {
 }
 
 // Full O(n^3) refit — the reference the incremental path is pinned against
-// (forced by set_full_refit_for_testing).
+// (reached only through refit_from).
 void GaussianProcess::refit() {
   OBS_SPAN("obo.refit");
   OBS_TIMED("bayesopt.gp.refit_us");
@@ -238,6 +223,23 @@ GpState GaussianProcess::state() const {
 }
 
 void GaussianProcess::restore(const GpState& state) {
+  set_observations(state);
+  if (xs_.empty()) return;
+  // Replay through the same incremental row-extension path observe() uses —
+  // identical op sequence, so checkpoint/resume stays bitwise.
+  chol_.reserve(tri(xs_.size()));
+  for (std::size_t i = 0; i < xs_.size(); ++i) extend_factor(i);
+  recompute_alpha();
+}
+
+GaussianProcess GaussianProcess::refit_from(const GpState& state) {
+  GaussianProcess gp(state.config);
+  gp.set_observations(state);
+  if (!gp.xs_.empty()) gp.refit();
+  return gp;
+}
+
+void GaussianProcess::set_observations(const GpState& state) {
   LINGXI_ASSERT(state.xs.size() == state.ys.size());
   config_ = state.config;
   xs_ = state.xs;
@@ -246,16 +248,6 @@ void GaussianProcess::restore(const GpState& state) {
   best_index_ = 0;
   chol_.clear();
   alpha_.clear();
-  if (xs_.empty()) return;
-  // Replay through the same incremental row-extension path observe() uses —
-  // identical op sequence, so checkpoint/resume stays bitwise.
-  if (full_refit_forced()) {
-    refit();
-  } else {
-    chol_.reserve(tri(xs_.size()));
-    for (std::size_t i = 0; i < xs_.size(); ++i) extend_factor(i);
-    recompute_alpha();
-  }
   for (std::size_t i = 1; i < ys_.size(); ++i) {
     if (ys_[i] < ys_[best_index_]) best_index_ = i;
   }

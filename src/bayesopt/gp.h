@@ -4,8 +4,8 @@
 // Cholesky factorization. observe() extends the factor with one new row
 // (O(n^2) incremental update); the factorization is row-ordered, so the
 // extended factor is bitwise identical to a from-scratch refit — pinned by
-// the IncrementalMatchesFullRefit property against the full refit that
-// set_full_refit_for_testing() forces.
+// GpIncremental.FactorMatchesFullRefitExactly against the full refit that
+// refit_from() runs.
 #pragma once
 
 #include <cstddef>
@@ -88,17 +88,18 @@ class GaussianProcess {
   const std::vector<double>& factor() const noexcept { return chol_; }
   const std::vector<double>& alpha() const noexcept { return alpha_; }
 
-  /// When true, observe()/restore() refactor from scratch instead of
-  /// extending the factor — the oracle the equality property and
-  /// BM_GpRefitFull run against.
-  static void set_full_refit_for_testing(bool force);
+  /// The reference: a GP over `state` whose factor comes from one
+  /// from-scratch O(n^3) refactorization instead of row extensions. The
+  /// equality test and BM_GpRefitFull run against it; nothing else does.
+  static GaussianProcess refit_from(const GpState& state);
 
  private:
   void refit();
   void extend_factor(std::size_t i);
   void recompute_alpha();
+  /// Load `state`'s config and observations with no factor yet.
+  void set_observations(const GpState& state);
   double kernel(const std::vector<double>& a, const std::vector<double>& b) const;
-  static bool full_refit_forced();
 
   GpConfig config_;
   std::vector<std::vector<double>> xs_;

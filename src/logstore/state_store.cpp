@@ -81,7 +81,7 @@ Status StateStore::save(const std::string& path) const {
 Status StateStore::load(const std::string& path) {
   auto bytes = read_file(path);
   if (!bytes) return bytes.error();
-  std::unordered_map<std::uint64_t, UserState> loaded;
+  std::map<std::uint64_t, UserState> loaded;
   codec::ByteReader in(*bytes);
   while (in.remaining() > 0) {
     auto payload = kRecordFrame.read(in);

@@ -5,13 +5,14 @@
 // keeps, per user id:
 //   * the engagement LongTermState feeding the exit predictor, and
 //   * the last optimized QoE parameters (OBO warm start for the next round).
-// File format: one framed record (logstore/record.h) per user entry.
+// File format: one framed record (logstore/record.h) per user entry, in
+// ascending user id, so equal contents always save equal bytes.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "abr/qoe.h"
 #include "common/codec.h"
@@ -46,7 +47,7 @@ class StateStore {
   static Expected<std::pair<std::uint64_t, UserState>> decode(codec::ByteSpan payload);
 
  private:
-  std::unordered_map<std::uint64_t, UserState> states_;
+  std::map<std::uint64_t, UserState> states_;
 };
 
 }  // namespace lingxi::logstore

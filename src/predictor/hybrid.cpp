@@ -25,11 +25,6 @@ HybridExitPredictor HybridExitPredictor::with_private_net() const {
   return {std::make_shared<StallExitNet>(*net_), os_model_, config_};
 }
 
-double HybridExitPredictor::predict(const EngagementState& state,
-                                    const sim::SegmentRecord& segment, SwitchType sw) const {
-  return predict(ExitQuery{&state, segment.level, segment.stall_time, sw});
-}
-
 double HybridExitPredictor::predict(const ExitQuery& query, BatchScratch* scratch) const {
   if (query.stall_time <= kNnStallThreshold) {
     return std::clamp(os_model_->predict(query.level, query.sw), 0.0, 1.0);

@@ -66,11 +66,7 @@ class HybridExitPredictor {
   /// term: R_exit is the OS term alone and no net forward runs.
   static constexpr Seconds kNnStallThreshold = 0.05;
 
-  /// R_exit for the segment just downloaded. `state` must already include
-  /// this segment (EngagementState::on_segment called).
-  double predict(const EngagementState& state, const sim::SegmentRecord& segment,
-                 SwitchType sw) const;
-  /// predict() in query form: the OS term alone for an unstalled segment,
+  /// R_exit for one query: the OS term alone for an unstalled segment,
   /// otherwise StallExitNet::predict_row through the same OS lookup and
   /// blend — bitwise identical to a 1-row predict_batch, at a cost that does
   /// not swing with cache residency. `scratch` may be null; passing one
@@ -217,11 +213,12 @@ class ExitQueryPool {
   Stats stats_;
 };
 
-/// Bridges the hybrid predictor into the lockstep Monte Carlo engine
-/// (sim::MonteCarloEvaluator::evaluate_rollouts / sim::RolloutWave): hands
-/// out per-rollout PredictorExitModel instances seeded with the live user
-/// state, and evaluates their pending queries with one batched net forward
-/// per step. Two flush scopes:
+/// Bridges the hybrid predictor into the Monte Carlo engine (sim::RolloutWave,
+/// which every evaluation runs as, directly or through
+/// sim::MonteCarloEvaluator::evaluate_rollouts): hands out per-rollout
+/// PredictorExitModel instances seeded with the live user state, and
+/// evaluates their pending queries with one batched net forward per step.
+/// Two flush scopes:
 ///   * standalone (pool == nullptr): parked queries stay in the evaluator
 ///     and flush() computes the batch itself — one flush per wave of one
 ///     evaluation (the per-optimization batching baseline). A lone query

@@ -289,15 +289,15 @@ FleetAccumulator FleetRunner::run_days(std::uint64_t seed, std::size_t first_day
   const bool hook_armed = checkpoint_hook_ != nullptr && k > 0;
   // The health timeline wants a record per fleet day, but that no longer
   // forces 1-day leg chaining: with a TimelineWriter or HealthMonitor armed
-  // (and a Registry to snapshot) each leg collects fleet-wide PER-DAY
-  // accumulator totals in-band (see run_days_leg) and the interior day
-  // records are emitted post-hoc after the leg, from base + partial sums.
+  // (and a Registry to snapshot) each leg also hands back the fleet-wide
+  // PER-DAY accumulator totals it sums its result from (see run_days_leg),
+  // and the interior day records are emitted post-hoc after the leg, from
+  // base + partial sums.
   // That reconstruction is bitwise equal to what a chain of 1-day legs
   // would have exported — the accumulator is associative integer saturating
   // sums, and every user-level tally is attributed to the same day a 1-day
   // leg would have banked it on — while costing none of the per-leg fixed
-  // work chaining paid. Legs therefore follow the checkpoint cadence only,
-  // and with observability off the single-leg fast path is unchanged.
+  // work chaining paid. Legs therefore follow the checkpoint cadence only.
   //
   // The deterministic section of each interior day record is exact per day;
   // the wall-clock section (RSS, counters, sessions/sec) is sampled when
@@ -424,62 +424,54 @@ FleetAccumulator FleetRunner::run_days_leg(
 
   const std::size_t shard_count =
       (config_.users + config_.users_per_shard - 1) / config_.users_per_shard;
-  std::vector<FleetAccumulator> shards(shard_count);
-  std::vector<FleetRunStats> shard_stats(shard_count);
-  // Per-shard per-day slots (shard-major), merged below in fixed shard order
-  // once the workers join. Only allocated when per-day totals are wanted:
-  // the obs-off path stays allocation-identical. ~176 B per (shard, day) —
-  // auto-checkpoint cadences bound leg_days, so this stays small even for
-  // very large fleets.
-  std::vector<FleetAccumulator> shard_day_totals;
-  if (day_totals != nullptr) {
-    shard_day_totals.assign(shard_count * leg_days, FleetAccumulator{});
-  }
-
-  std::atomic<std::size_t> next_shard{0};
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t shard = next_shard.fetch_add(1, std::memory_order_relaxed);
-      if (shard >= shard_count) return;
-      const std::size_t first = shard * config_.users_per_shard;
-      const std::size_t last = std::min(first + config_.users_per_shard, config_.users);
-      ShardScheduler scheduler(
-          *this, world, seed, first, last, shards[shard], first_day, last_day,
-          resume, out_state, predictor,
-          day_totals != nullptr ? &shard_day_totals[shard * leg_days] : nullptr);
-      scheduler.run();
-      shard_stats[shard] = scheduler.stats();
-    }
-  };
-
   // Worker pool: the configured thread count (0 = hardware concurrency),
   // capped by the shard count.
   const std::size_t pool = std::min(
       config_.threads != 0 ? config_.threads
                            : std::max<std::size_t>(1, std::thread::hardware_concurrency()),
       shard_count);
+  // Every worker banks its users' tallies into its own leg-relative per-day
+  // slots and its own batching stats; no accumulator is shared between
+  // threads. ~176 B per (worker, day).
+  std::vector<std::vector<FleetAccumulator>> worker_days(
+      pool, std::vector<FleetAccumulator>(leg_days));
+  std::vector<FleetRunStats> worker_stats(pool);
+
+  std::atomic<std::size_t> next_shard{0};
+  const auto worker = [&](std::size_t w) {
+    for (;;) {
+      const std::size_t shard = next_shard.fetch_add(1, std::memory_order_relaxed);
+      if (shard >= shard_count) return;
+      const std::size_t first = shard * config_.users_per_shard;
+      const std::size_t last = std::min(first + config_.users_per_shard, config_.users);
+      ShardScheduler scheduler(*this, world, seed, first, last, first_day, last_day, resume,
+                               out_state, predictor, worker_days[w].data());
+      scheduler.run();
+      worker_stats[w].merge(scheduler.stats());
+    }
+  };
   if (pool <= 1) {
-    worker();
+    worker(0);
   } else {
     std::vector<std::thread> threads;
     threads.reserve(pool);
-    for (std::size_t t = 0; t < pool; ++t) threads.emplace_back(worker);
+    for (std::size_t w = 0; w < pool; ++w) threads.emplace_back(worker, w);
     for (auto& t : threads) t.join();
   }
 
-  // Fixed left-to-right merge in shard order. With the integer accumulator
-  // any merge tree gives the same bits; the fixed order keeps that true even
-  // if a float field is ever added.
-  for (const auto& shard : shards) merged.merge(shard);
-  if (day_totals != nullptr) {
-    for (std::size_t d = 0; d < leg_days; ++d) {
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        (*day_totals)[d].merge(shard_day_totals[s * leg_days + d]);
-      }
-    }
+  // Sum each day over the workers, then the days onto the merge base. Which
+  // worker ran which shard varies from run to run, but the accumulator is
+  // integer — saturating sums of non-negative addends are min(total,
+  // INT64_MAX) and the overflow latch is set exactly when the total exceeds
+  // it — so every grouping gives the same bits.
+  for (std::size_t d = 0; d < leg_days; ++d) {
+    FleetAccumulator day;
+    for (const auto& slots : worker_days) day.merge(slots[d]);
+    merged.merge(day);
+    if (day_totals != nullptr) (*day_totals)[d] = day;
   }
   if (stats != nullptr) {
-    for (const auto& s : shard_stats) stats->merge(s);
+    for (const auto& s : worker_stats) stats->merge(s);
   }
   if (out_state != nullptr) out_state->accumulated = merged;
   return merged;
@@ -505,20 +497,19 @@ class ShardScheduler::UserTask {
   /// user; the task continues bitwise identically to one that simulated the
   /// earlier days itself (static context re-derives from (seed, user)
   /// streams, evolving state restores from `resume`).
-  /// `day_totals`, when non-null, is the shard's leg-relative per-day slot
-  /// array (see ShardScheduler): every tally banked into `acc` is also
-  /// banked into the slot of the day it is attributed to.
+  /// `day_totals` is the worker's leg-relative per-day slot array (see
+  /// ShardScheduler): every tally is banked once, into the slot of the day
+  /// it is attributed to.
   UserTask(const FleetRunner& runner, const FleetWorld& world, std::uint64_t seed,
-           std::size_t user_index, FleetAccumulator& acc,
+           std::size_t user_index, FleetAccumulator* day_totals,
            const predictor::HybridExitPredictor* shard_predictor,
            predictor::ExitQueryPool* pool, std::size_t first_day, std::size_t stop_day,
-           const UserFleetState* resume, FleetAccumulator* day_totals = nullptr)
+           const UserFleetState* resume)
       : runner_(runner),
         cfg_(runner.config()),
         world_(world),
         seed_(seed),
         user_(user_index),
-        acc_(acc),
         day_totals_(day_totals),
         leg_first_day_(first_day),
         shard_predictor_(shard_predictor),
@@ -705,10 +696,7 @@ class ShardScheduler::UserTask {
           world_.simulator.run(video, *abr_, *bandwidth, day_user_.get(), session_rng_);
     }
     measured_ = session_index_ >= cfg_.warmup_sessions;
-    acc_.add_session(result_, measured_);
-    if (day_totals_ != nullptr) {
-      day_totals_[day_ - leg_first_day_].add_session(result_, measured_);
-    }
+    day_slot(day_).add_session(result_, measured_);
 
     if (lingxi_) {
       for (const auto& seg : result_.segments) lingxi_->on_segment(seg);
@@ -751,23 +739,21 @@ class ShardScheduler::UserTask {
     session_ = 0;
   }
 
+  /// The worker's accumulator slot for calendar day `day` of this leg.
+  FleetAccumulator& day_slot(std::size_t day) { return day_totals_[day - leg_first_day_]; }
+
   /// Bank the current occupant's summary: accumulator tallies plus the
   /// telemetry user record. Emitted at the horizon (finish_user) and at
   /// every churn departure (retire_generation). `slot_day` attributes the
-  /// tallies to one calendar day for per-day observation; the attribution
-  /// (rollover day for churn, final day for the horizon) reproduces exactly
-  /// which 1-day-leg boundary accumulators would have contained them, so
-  /// post-hoc per-day reconstruction stays bitwise equal to leg chaining.
+  /// tallies to one calendar day; the attribution (rollover day for churn,
+  /// final day for the horizon) reproduces exactly which 1-day-leg boundary
+  /// accumulators would have contained them, so post-hoc per-day
+  /// reconstruction stays bitwise equal to leg chaining.
   void emit_user_summary(std::size_t slot_day) {
-    acc_.adjusted_user_days += adjusted_days_;
-    if (lingxi_) acc_.add_lingxi_stats(lingxi_->stats());
-    ++acc_.users;
-    if (day_totals_ != nullptr) {
-      FleetAccumulator& slot = day_totals_[slot_day - leg_first_day_];
-      slot.adjusted_user_days += adjusted_days_;
-      if (lingxi_) slot.add_lingxi_stats(lingxi_->stats());
-      ++slot.users;
-    }
+    FleetAccumulator& slot = day_slot(slot_day);
+    slot.adjusted_user_days += adjusted_days_;
+    if (lingxi_) slot.add_lingxi_stats(lingxi_->stats());
+    ++slot.users;
     if (runner_.sink_) {
       telemetry::UserTelemetry user;
       user.user_index = user_;
@@ -792,9 +778,8 @@ class ShardScheduler::UserTask {
   const FleetWorld& world_;
   std::uint64_t seed_;
   std::size_t user_;
-  FleetAccumulator& acc_;
-  /// Shard's per-day accumulator slots (leg-relative), mirroring every bank
-  /// into acc_; null when per-day observation is off.
+  /// The worker's per-day accumulator slots (leg-relative): the one place
+  /// this task banks its tallies.
   FleetAccumulator* day_totals_;
   std::size_t leg_first_day_;
   const predictor::HybridExitPredictor* shard_predictor_;  ///< kept for churn rebuilds
@@ -837,9 +822,9 @@ class ShardScheduler::UserTask {
 
 ShardScheduler::ShardScheduler(const FleetRunner& runner, const FleetWorld& world,
                                std::uint64_t seed, std::size_t first_user,
-                               std::size_t last_user, FleetAccumulator& acc,
-                               std::size_t first_day, std::size_t last_day,
-                               const FleetDayState* resume, FleetDayState* out_state,
+                               std::size_t last_user, std::size_t first_day,
+                               std::size_t last_day, const FleetDayState* resume,
+                               FleetDayState* out_state,
                                const predictor::HybridExitPredictor* predictor,
                                FleetAccumulator* day_totals)
     : runner_(runner),
@@ -847,7 +832,6 @@ ShardScheduler::ShardScheduler(const FleetRunner& runner, const FleetWorld& worl
       seed_(seed),
       first_user_(first_user),
       last_user_(last_user),
-      acc_(acc),
       first_day_(first_day),
       last_day_(last_day),
       resume_(resume),
@@ -858,6 +842,7 @@ ShardScheduler::ShardScheduler(const FleetRunner& runner, const FleetWorld& worl
       day_totals_(day_totals) {
   LINGXI_ASSERT(first_user_ <= last_user_);
   LINGXI_ASSERT(first_day_ < last_day_);
+  LINGXI_ASSERT(day_totals_ != nullptr);
   LINGXI_ASSERT(!runner_.config().enable_lingxi || predictor_ != nullptr);
 }
 
@@ -870,8 +855,8 @@ void ShardScheduler::run() {
   tasks.reserve(last_user_ - first_user_);
   for (std::size_t u = first_user_; u < last_user_; ++u) {
     tasks.push_back(std::make_unique<UserTask>(
-        runner_, world_, seed_, u, acc_, predictor_, pool_.get(), first_day_, last_day_,
-        resume_ != nullptr ? &resume_->users[u] : nullptr, day_totals_));
+        runner_, world_, seed_, u, day_totals_, predictor_, pool_.get(), first_day_, last_day_,
+        resume_ != nullptr ? &resume_->users[u] : nullptr));
   }
 
   // Live tasks in ascending user order. Each wave steps every live task

@@ -11,8 +11,9 @@
 //   * every per-user random stream is derived only from (seed, user index,
 //     day, session) — never from thread identity or execution order;
 //   * sharding is a pure function of the user count, not of the pool size;
-//   * per-shard results go into FleetAccumulator, whose state is integer
-//     (fixed-point) so that merging is exactly associative and commutative.
+//   * results go into FleetAccumulator, whose state is integer (fixed-point)
+//     so that merging is exactly associative and commutative — each worker
+//     banks into its own per-day slots, summed once the workers join.
 // Hence the merged result is bitwise identical at 1, 4 or 64 threads, which
 // is what makes the parallel fleet usable for paired A/B comparisons.
 //
@@ -333,12 +334,15 @@ class FleetRunner {
   /// One contiguous leg (the pre-hook run_days body); run_days() chains legs
   /// through it when the checkpoint hook is armed. `predictor` is the run's
   /// shared predictor (non-null iff LingXi is enabled and users > 0).
-  /// `day_totals`, when non-null, receives (last_day - first_day) fleet-wide
-  /// per-day accumulators (merged across shards in fixed shard order): slot i
-  /// holds exactly the tallies attributed to day first_day + i, so
-  /// base + slots[0..i] reproduces the day-boundary aggregate a chain of
-  /// 1-day legs would have exported — bitwise, because the accumulator is
-  /// all integer saturating sums (associative and commutative).
+  /// Each worker thread banks every tally once, into its own
+  /// (last_day - first_day) leg-relative per-day slots; the leg total is the
+  /// base plus the sum of all of them. `day_totals`, when non-null, receives
+  /// the per-day sums over the workers: slot i holds exactly the tallies
+  /// attributed to day first_day + i, so base + slots[0..i] reproduces the
+  /// day-boundary aggregate a chain of 1-day legs would have exported —
+  /// bitwise, because the accumulator is all integer saturating sums
+  /// (associative and commutative), however the work was spread over
+  /// workers.
   FleetAccumulator run_days_leg(
       std::uint64_t seed, std::size_t first_day, std::size_t last_day,
       const FleetDayState* resume, FleetDayState* out_state, FleetRunStats* stats,
@@ -374,7 +378,8 @@ class FleetRunner {
 /// replays are deterministic. Per-user outcomes cannot depend on the
 /// interleaving at all (task state is private; forwards are pure), which is
 /// what keeps results bitwise equal at every shard size.
-/// One ShardScheduler is driven by exactly one worker thread.
+/// One ShardScheduler is driven by exactly one worker thread and banks into
+/// that worker's per-day slots.
 class ShardScheduler {
  public:
   /// Drives users [first_user, last_user) over days [first_day, last_day).
@@ -385,17 +390,16 @@ class ShardScheduler {
   /// LingXi; required when LingXi is enabled. Inference is const and pure
   /// per row, so sharing it across users, shards and threads is bitwise
   /// invisible.
-  /// `day_totals`, when non-null, points at (last_day - first_day)
-  /// per-day accumulators for this shard: every tally banked into `acc` is
-  /// also banked into the slot of the day it belongs to, so the health
-  /// timeline can reconstruct each interior day-boundary aggregate from a
-  /// single leg without forcing 1-day leg chaining.
+  /// `day_totals` points at (last_day - first_day) per-day accumulators,
+  /// the driving worker's own: every tally is banked once, into the slot of
+  /// the day it belongs to, so the leg total and the health timeline's
+  /// interior day-boundary aggregates both sum from the same slots without
+  /// forcing 1-day leg chaining.
   ShardScheduler(const FleetRunner& runner, const FleetWorld& world, std::uint64_t seed,
-                 std::size_t first_user, std::size_t last_user, FleetAccumulator& acc,
-                 std::size_t first_day, std::size_t last_day,
-                 const FleetDayState* resume, FleetDayState* out_state,
-                 const predictor::HybridExitPredictor* predictor = nullptr,
-                 FleetAccumulator* day_totals = nullptr);
+                 std::size_t first_user, std::size_t last_user, std::size_t first_day,
+                 std::size_t last_day, const FleetDayState* resume,
+                 FleetDayState* out_state, const predictor::HybridExitPredictor* predictor,
+                 FleetAccumulator* day_totals);
   ~ShardScheduler();
   ShardScheduler(const ShardScheduler&) = delete;
   ShardScheduler& operator=(const ShardScheduler&) = delete;
@@ -413,7 +417,6 @@ class ShardScheduler {
   std::uint64_t seed_;
   std::size_t first_user_;
   std::size_t last_user_;
-  FleetAccumulator& acc_;
   std::size_t first_day_;
   std::size_t last_day_;
   const FleetDayState* resume_;
@@ -422,8 +425,8 @@ class ShardScheduler {
   const predictor::HybridExitPredictor* predictor_;
   /// Flush plane over predictor_; null when LingXi is disabled.
   std::unique_ptr<predictor::ExitQueryPool> pool_;
-  /// Per-day accumulator slots for this shard (leg-relative, size
-  /// last_day_ - first_day_); null when no per-day observation is wanted.
+  /// The driving worker's per-day accumulator slots (leg-relative, size
+  /// last_day_ - first_day_).
   FleetAccumulator* day_totals_;
 };
 

@@ -8,42 +8,6 @@
 #include "common/assert.h"
 
 namespace lingxi::sim {
-namespace {
-
-/// Fold one completed rollout into `result` and apply the optimistic prune
-/// bound (every remaining sample watches the full virtual video and never
-/// exits); true when evaluation must stop. THE accumulation implementation,
-/// shared by evaluate() and RolloutWave so both prune by the same rule.
-bool fold_rollout(const MonteCarloConfig& mc, std::size_t max_segments_per_sample,
-                  double best_known_exit_rate, const SessionResult& session,
-                  MonteCarloResult& result) {
-  result.watched_count += session.segments.size();
-  if (session.exited) ++result.exited_count;
-  ++result.samples_run;
-  if (mc.enable_pruning && result.samples_run >= mc.min_samples_before_prune &&
-      std::isfinite(best_known_exit_rate)) {
-    const std::size_t remaining = mc.samples - result.samples_run;
-    const double optimistic_watched =
-        static_cast<double>(result.watched_count + remaining * max_segments_per_sample);
-    const double lower_bound =
-        static_cast<double>(result.exited_count) / optimistic_watched;
-    if (lower_bound > best_known_exit_rate) {
-      result.pruned = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// R_exit = exited_count / watched_count (0 when nothing was watched).
-void finish_result(MonteCarloResult& result) {
-  result.exit_rate = result.watched_count == 0
-                         ? 0.0
-                         : static_cast<double>(result.exited_count) /
-                               static_cast<double>(result.watched_count);
-}
-
-}  // namespace
 
 MonteCarloEvaluator::MonteCarloEvaluator(MonteCarloConfig mc_config,
                                          SessionSimulator::Config session_config)
@@ -61,31 +25,6 @@ trace::Video MonteCarloEvaluator::make_virtual_video(const trace::BitrateLadder&
     return trace::Video::vbr(ladder, segments, segment_duration, vbr_sigma, *rng);
   }
   return trace::Video{ladder, segments, segment_duration};
-}
-
-MonteCarloResult MonteCarloEvaluator::evaluate(const trace::Video& virtual_video,
-                                               BitrateSelector& abr, ExitModel& exit_model,
-                                               trace::BandwidthModel& bandwidth,
-                                               Seconds initial_buffer,
-                                               double best_known_exit_rate, Rng& rng) const {
-  SessionSimulator::Config cfg = session_config_;
-  cfg.player.startup_buffer = std::max(0.0, initial_buffer);
-  const SessionSimulator sim(cfg);
-
-  MonteCarloResult result;
-  const std::size_t max_segments_per_sample = virtual_video.segment_count();
-
-  for (std::size_t m = 0; m < mc_config_.samples; ++m) {
-    auto bw = bandwidth.clone();  // independent stochastic rollout
-    const SessionResult session = sim.run(virtual_video, abr, *bw, &exit_model, rng);
-    if (fold_rollout(mc_config_, max_segments_per_sample, best_known_exit_rate, session,
-                     result)) {
-      break;
-    }
-  }
-
-  finish_result(result);
-  return result;
 }
 
 MonteCarloResult MonteCarloEvaluator::evaluate_rollouts(
@@ -125,7 +64,24 @@ RolloutWave::RolloutWave(const MonteCarloEvaluator& evaluator,
 }
 
 bool RolloutWave::accumulate(const SessionResult& session) {
-  return fold_rollout(mc_, max_segments_, best_known_exit_rate_, session, result_);
+  result_.watched_count += session.segments.size();
+  if (session.exited) ++result_.exited_count;
+  ++result_.samples_run;
+  if (mc_.enable_pruning && result_.samples_run >= mc_.min_samples_before_prune &&
+      std::isfinite(best_known_exit_rate_)) {
+    // Optimistic bound: every remaining sample watches the full virtual
+    // video and never exits.
+    const std::size_t remaining = mc_.samples - result_.samples_run;
+    const double optimistic_watched =
+        static_cast<double>(result_.watched_count + remaining * max_segments_);
+    const double lower_bound =
+        static_cast<double>(result_.exited_count) / optimistic_watched;
+    if (lower_bound > best_known_exit_rate_) {
+      result_.pruned = true;
+      return true;
+    }
+  }
+  return false;
 }
 
 void RolloutWave::start_chunk() {
@@ -144,7 +100,11 @@ void RolloutWave::start_chunk() {
 }
 
 void RolloutWave::finish() {
-  finish_result(result_);
+  // R_exit = exited_count / watched_count (0 when nothing was watched).
+  result_.exit_rate = result_.watched_count == 0
+                          ? 0.0
+                          : static_cast<double>(result_.exited_count) /
+                                static_cast<double>(result_.watched_count);
   slots_.clear();
   finished_ = true;
 }

@@ -9,6 +9,11 @@
 // stage: once enough samples ran, if even an exit-free completion of the
 // remaining samples could not bring R_exit below the best known alternative,
 // evaluation stops early.
+//
+// There is one rollout semantics. Every rollout owns a forked rng stream and
+// its own ABR, bandwidth and exit model, and runs inside a RolloutWave:
+// evaluate_rollouts() drives one wave to completion, and the fleet's
+// ShardScheduler drives many at once with their exit queries pooled.
 #pragma once
 
 #include <cstddef>
@@ -48,27 +53,23 @@ class MonteCarloEvaluator {
   MonteCarloEvaluator(MonteCarloConfig mc_config, SessionSimulator::Config session_config);
 
   /// Evaluate one candidate. `abr` must already carry the candidate QoE
-  /// parameters; `exit_model` must be seeded with the live user state;
-  /// `initial_buffer` comes from the live player; `best_known_exit_rate`
-  /// enables pruning (pass +inf to disable for this call).
-  MonteCarloResult evaluate(const trace::Video& virtual_video, BitrateSelector& abr,
-                            ExitModel& exit_model, trace::BandwidthModel& bandwidth,
-                            Seconds initial_buffer, double best_known_exit_rate,
-                            Rng& rng) const;
-
-  /// Like evaluate(), but with per-rollout isolation: every rollout gets its
-  /// own rng stream (exactly `samples` forks are taken from `rng` upfront,
-  /// regardless of pruning), its own clone of `abr` and `bandwidth`, and its
-  /// own exit model from `exits`. Rollouts advance in lockstep waves of
-  /// batch_size (SessionStepper) and the exit predictor is evaluated once per
-  /// step as a batch across the wave. Every width returns bitwise-identical
-  /// results and leaves `rng` in the same state — the contract behind the
-  /// fleet's checksum identity across batch_size. Pruning follows the
-  /// per-rollout replay order at every width; a wave merely cannot stop
-  /// mid-wave, so wider waves trade some pruned-away work for batched
-  /// forwards without changing any reported number. A convenience driver
-  /// over RolloutWave (below), which exposes the evaluation in resumable
-  /// form.
+  /// parameters; `exits` hands out exit models seeded with the live user
+  /// state; `initial_buffer` comes from the live player;
+  /// `best_known_exit_rate` enables pruning (pass +inf to disable for this
+  /// call).
+  ///
+  /// Every rollout is isolated: it gets its own rng stream (exactly
+  /// `samples` forks are taken from `rng` upfront, regardless of pruning),
+  /// its own clone of `abr` and `bandwidth`, and its own exit model from
+  /// `exits`. Rollouts advance in lockstep waves of batch_size
+  /// (SessionStepper) and the exit predictor is evaluated once per step as a
+  /// batch across the wave. Every width returns bitwise-identical results
+  /// and leaves `rng` in the same state — the contract behind the fleet's
+  /// checksum identity across batch_size. Pruning follows the per-rollout
+  /// replay order at every width; a wave merely cannot stop mid-wave, so
+  /// wider waves trade some pruned-away work for batched forwards without
+  /// changing any reported number. A convenience driver over RolloutWave
+  /// (below), which exposes the evaluation in resumable form.
   MonteCarloResult evaluate_rollouts(const trace::Video& virtual_video,
                                      const abr::AbrAlgorithm& abr,
                                      const BatchExitEvaluator& exits,
@@ -140,7 +141,8 @@ class RolloutWave {
   };
 
   void start_chunk();
-  /// Fold one completed rollout; true when pruning stops the evaluation.
+  /// Fold one completed rollout into result_ and apply the optimistic prune
+  /// bound; true when pruning stops the evaluation.
   bool accumulate(const SessionResult& session);
   void finish();
 

@@ -73,15 +73,15 @@ class ExitModel {
   virtual double exit_probability(const SegmentRecord& segment) = 0;
 };
 
-/// Factory + batched evaluator for per-rollout exit models — what the
-/// lockstep Monte Carlo path (MonteCarloEvaluator::evaluate_rollouts) needs
-/// from the predictor side. The prepare()/flush() split lets cheap decisions
-/// (e.g. non-stalled segments, which skip the net entirely) resolve inline
-/// while expensive ones accumulate across rollouts into one batched forward.
-/// For any model the prepare()+flush() probabilities must be bitwise
-/// identical to exit_probability() on the same segment sequence — the
-/// contract that makes batched and scalar rollouts produce identical fleet
-/// checksums.
+/// Factory + batched evaluator for per-rollout exit models — what the Monte
+/// Carlo engine (RolloutWave, which MonteCarloEvaluator::evaluate_rollouts
+/// drives) needs from the predictor side. The prepare()/flush() split lets
+/// cheap decisions (e.g. non-stalled segments, which skip the net entirely)
+/// resolve inline while expensive ones accumulate across rollouts into one
+/// batched forward. For any model the prepare()+flush() probabilities must
+/// be bitwise identical to exit_probability() on the same segment sequence,
+/// however the queries are grouped into flushes — the contract that keeps
+/// fleet checksums identical across wave widths and shard sizes.
 class BatchExitEvaluator {
  public:
   virtual ~BatchExitEvaluator() = default;

@@ -193,12 +193,9 @@ TEST(GpIncremental, FactorMatchesFullRefitExactly) {
         const double y = std::sin(6.0 * x[0]) + 0.1 * rng.normal(0.0, 1.0);
         incremental.observe(x, y);
 
-        // A GP rebuilt from scratch under forced full refit must agree on
-        // every factor element and every alpha coefficient, exactly.
-        GaussianProcess::set_full_refit_for_testing(true);
-        GaussianProcess full(config);
-        full.restore(incremental.state());
-        GaussianProcess::set_full_refit_for_testing(false);
+        // A GP refactorized from scratch must agree on every factor element
+        // and every alpha coefficient, exactly.
+        const GaussianProcess full = GaussianProcess::refit_from(incremental.state());
 
         ASSERT_EQ(incremental.factor().size(), full.factor().size());
         for (std::size_t i = 0; i < full.factor().size(); ++i) {

@@ -571,6 +571,15 @@ Format archive_format() {
   f.decode = [dir](const Files&) -> Decoded {
     auto reader = telemetry::ArchiveReader::open(dir);
     if (!reader) return failed(reader.error());
+    // The range scans skip out-of-range records after decoding only their
+    // fixed prefix: users [1, 2] (a strict sub-range touching both shards)
+    // and day 1 alone. Each must end ok or kCorrupt, like the full scan.
+    const auto ignore = [](const auto&) {};
+    const Status ranged[] = {reader->scan_users(1, 2, ignore, ignore),
+                             reader->scan_days(1, 1, ignore)};
+    for (const Status& scan : ranged) {
+      if (!scan && scan.error().code != Error::Code::kCorrupt) return failed(scan.error());
+    }
     // Re-encode every delivered record into its shard's file.
     const auto& shards = reader->manifest().shards;
     Files out(1 + shards.size());

@@ -3,9 +3,12 @@
 // both file formats. The byte codec itself is tested in test_common.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <initializer_list>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/codec.h"
 #include "common/crc32.h"
@@ -331,6 +334,45 @@ TEST(StateStore, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.size(), 2u);
   EXPECT_EQ(*loaded.get(1), sample_state());
   EXPECT_EQ(*loaded.get(2), s2);
+}
+
+TEST(StateStore, SaveBytesDependOnlyOnContents) {
+  // The same three states reached through different histories: one store
+  // puts them in descending id order; the other erases everything (clear)
+  // and re-puts them in ascending order, then overwrites each entry.
+  std::vector<std::pair<std::uint64_t, UserState>> states;
+  for (std::uint64_t id : {3u, 1000003u, 42u}) {
+    UserState s = sample_state();
+    s.engagement.total_stall_events = id;
+    states.emplace_back(id, s);
+  }
+  StateStore a;
+  for (auto it = states.rbegin(); it != states.rend(); ++it) a.put(it->first, it->second);
+  StateStore b;
+  b.put(42, sample_state());
+  b.clear();
+  for (const auto& [id, s] : states) b.put(id, sample_state());
+  for (const auto& [id, s] : states) b.put(id, s);
+  ASSERT_EQ(a.size(), 3u);
+  ASSERT_EQ(b.size(), 3u);
+
+  const std::string dir = ::testing::TempDir();
+  ASSERT_TRUE(a.save(dir + "/lingxi_state_order_a.bin").ok());
+  ASSERT_TRUE(b.save(dir + "/lingxi_state_order_b.bin").ok());
+  const auto bytes_a = read_file(dir + "/lingxi_state_order_a.bin");
+  const auto bytes_b = read_file(dir + "/lingxi_state_order_b.bin");
+  ASSERT_TRUE(bytes_a.has_value());
+  ASSERT_TRUE(bytes_b.has_value());
+  EXPECT_EQ(*bytes_a, *bytes_b);
+
+  // Records are written in ascending user id.
+  Bytes expected;
+  for (std::uint64_t id : {3u, 42u, 1000003u}) {
+    const auto it = std::find_if(states.begin(), states.end(),
+                                 [id](const auto& e) { return e.first == id; });
+    kRecordFrame.write(expected, StateStore::encode(id, it->second));
+  }
+  EXPECT_EQ(*bytes_a, expected);
 }
 
 TEST(StateStore, LoadMissingFileIsIoError) {

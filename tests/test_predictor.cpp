@@ -272,7 +272,7 @@ TEST(Hybrid, UsesOsOnlyWithoutStall) {
   state.begin_session();
   auto seg = make_segment(1850.0, 3000.0, 0.0);
   state.on_segment(seg, 1.0);
-  const double p = hybrid.predict(state, seg, SwitchType::kNone);
+  const double p = hybrid.predict({&state, seg.level, seg.stall_time, SwitchType::kNone});
   EXPECT_NEAR(p, os->predict(2, SwitchType::kNone), 1e-12);
 }
 
@@ -286,7 +286,7 @@ TEST(Hybrid, AddsNnTermOnStall) {
   state.begin_session();
   auto seg = make_segment(1850.0, 3000.0, 4.0);
   state.on_segment(seg, 1.0);
-  const double p = hybrid.predict(state, seg, SwitchType::kNone);
+  const double p = hybrid.predict({&state, seg.level, seg.stall_time, SwitchType::kNone});
   const double os_only = os->predict(2, SwitchType::kNone);
   EXPECT_GT(p, os_only);  // untrained net adds a positive probability mass
   EXPECT_LE(p, 1.0);

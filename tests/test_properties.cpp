@@ -41,6 +41,8 @@
 #include "trace/video.h"
 #include "user/data_driven.h"
 
+#include "inline_exit_evaluator.h"
+
 namespace lingxi {
 namespace {
 
@@ -451,10 +453,11 @@ class McPruningProperty : public ::testing::TestWithParam<int> {
     user::DataDrivenUser::Config ucfg;
     ucfg.stall_archetype = user::StallArchetype::kSensitive;
     ucfg.tolerance = 1.5;
-    user::DataDrivenUser exit_model(ucfg);
+    const testing_util::InlineExitEvaluator exits(
+        [ucfg] { return std::make_unique<user::DataDrivenUser>(ucfg); });
     trace::NormalBandwidth bandwidth(650.0, 280.0);
     Rng rng(seed);
-    return eval.evaluate(video, hyb, exit_model, bandwidth, 1.0, best_known, rng);
+    return eval.evaluate_rollouts(video, hyb, exits, bandwidth, 1.0, best_known, rng);
   }
 };
 

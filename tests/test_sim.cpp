@@ -4,13 +4,18 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
 
+#include "abr/abr.h"
 #include "common/rng.h"
 #include "sim/monte_carlo.h"
 #include "sim/player_env.h"
 #include "sim/session.h"
 #include "trace/bandwidth.h"
 #include "trace/video.h"
+
+#include "inline_exit_evaluator.h"
 
 namespace lingxi::sim {
 namespace {
@@ -257,6 +262,25 @@ class ConstantExit final : public ExitModel {
   double p_;
 };
 
+/// Every rollout exits with the constant probability `p` per segment.
+testing_util::InlineExitEvaluator constant_exits(double p) {
+  return testing_util::InlineExitEvaluator([p] { return std::make_unique<ConstantExit>(p); });
+}
+
+/// FixedSelector as a clonable AbrAlgorithm, so each rollout gets its own.
+class FixedLevelAbr final : public abr::AbrAlgorithm {
+ public:
+  explicit FixedLevelAbr(std::size_t level) : level_(level) {}
+  std::string name() const override { return "fixed"; }
+  std::size_t select(const AbrObservation&) override { return level_; }
+  std::unique_ptr<abr::AbrAlgorithm> clone() const override {
+    return std::make_unique<FixedLevelAbr>(*this);
+  }
+
+ private:
+  std::size_t level_;
+};
+
 TEST(MonteCarlo, ZeroExitProbabilityGivesZeroRate) {
   MonteCarloConfig mc;
   mc.samples = 8;
@@ -265,12 +289,12 @@ TEST(MonteCarlo, ZeroExitProbabilityGivesZeroRate) {
   const auto ladder = trace::BitrateLadder::default_ladder();
   const trace::Video video = eval.make_virtual_video(ladder, 1.0);
   EXPECT_EQ(video.segment_count(), 10u);
-  FixedSelector abr(0);
-  ConstantExit exits(0.0);
+  FixedLevelAbr abr(0);
+  const auto exits = constant_exits(0.0);
   trace::NormalBandwidth bw(5000.0, 500.0);
   Rng rng(7);
-  const auto r = eval.evaluate(video, abr, exits, bw, 0.0,
-                               std::numeric_limits<double>::infinity(), rng);
+  const auto r = eval.evaluate_rollouts(video, abr, exits, bw, 0.0,
+                                        std::numeric_limits<double>::infinity(), rng);
   EXPECT_DOUBLE_EQ(r.exit_rate, 0.0);
   EXPECT_EQ(r.exited_count, 0u);
   EXPECT_EQ(r.watched_count, 80u);
@@ -285,12 +309,12 @@ TEST(MonteCarlo, CertainExitGivesOneExitPerSample) {
   const MonteCarloEvaluator eval(mc, {});
   const auto ladder = trace::BitrateLadder::default_ladder();
   const trace::Video video = eval.make_virtual_video(ladder, 1.0);
-  FixedSelector abr(0);
-  ConstantExit exits(1.0);
+  FixedLevelAbr abr(0);
+  const auto exits = constant_exits(1.0);
   trace::NormalBandwidth bw(5000.0, 0.0);
   Rng rng(8);
-  const auto r = eval.evaluate(video, abr, exits, bw, 0.0,
-                               std::numeric_limits<double>::infinity(), rng);
+  const auto r = eval.evaluate_rollouts(video, abr, exits, bw, 0.0,
+                                        std::numeric_limits<double>::infinity(), rng);
   EXPECT_EQ(r.exited_count, 10u);
   EXPECT_EQ(r.watched_count, 10u);  // every sample exits on its first segment
   EXPECT_DOUBLE_EQ(r.exit_rate, 1.0);
@@ -304,12 +328,12 @@ TEST(MonteCarlo, EstimatesModerateRate) {
   const MonteCarloEvaluator eval(mc, {});
   const auto ladder = trace::BitrateLadder::default_ladder();
   const trace::Video video = eval.make_virtual_video(ladder, 1.0);
-  FixedSelector abr(0);
-  ConstantExit exits(0.1);
+  FixedLevelAbr abr(0);
+  const auto exits = constant_exits(0.1);
   trace::NormalBandwidth bw(5000.0, 0.0);
   Rng rng(9);
-  const auto r = eval.evaluate(video, abr, exits, bw, 0.0,
-                               std::numeric_limits<double>::infinity(), rng);
+  const auto r = eval.evaluate_rollouts(video, abr, exits, bw, 0.0,
+                                        std::numeric_limits<double>::infinity(), rng);
   // Geometric watching: per-segment exit prob 0.1 -> exit rate ~0.1 per
   // watched segment (most samples exit before the horizon).
   EXPECT_NEAR(r.exit_rate, 0.1, 0.03);
@@ -324,12 +348,12 @@ TEST(MonteCarlo, PruningStopsEarlyAgainstBetterAlternative) {
   const MonteCarloEvaluator eval(mc, {});
   const auto ladder = trace::BitrateLadder::default_ladder();
   const trace::Video video = eval.make_virtual_video(ladder, 1.0);
-  FixedSelector abr(0);
-  ConstantExit exits(1.0);  // terrible candidate
+  FixedLevelAbr abr(0);
+  const auto exits = constant_exits(1.0);  // terrible candidate
   trace::NormalBandwidth bw(5000.0, 0.0);
   Rng rng(10);
   // Best known alternative has near-zero exit rate.
-  const auto r = eval.evaluate(video, abr, exits, bw, 0.0, 0.001, rng);
+  const auto r = eval.evaluate_rollouts(video, abr, exits, bw, 0.0, 0.001, rng);
   EXPECT_TRUE(r.pruned);
   EXPECT_LT(r.samples_run, 100u);
 }
@@ -341,11 +365,11 @@ TEST(MonteCarlo, NoPruningWhenCandidateIsGood) {
   const MonteCarloEvaluator eval(mc, {});
   const auto ladder = trace::BitrateLadder::default_ladder();
   const trace::Video video = eval.make_virtual_video(ladder, 1.0);
-  FixedSelector abr(0);
-  ConstantExit exits(0.0);
+  FixedLevelAbr abr(0);
+  const auto exits = constant_exits(0.0);
   trace::NormalBandwidth bw(5000.0, 0.0);
   Rng rng(11);
-  const auto r = eval.evaluate(video, abr, exits, bw, 0.0, 0.5, rng);
+  const auto r = eval.evaluate_rollouts(video, abr, exits, bw, 0.0, 0.5, rng);
   EXPECT_FALSE(r.pruned);
   EXPECT_EQ(r.samples_run, 30u);
 }
@@ -364,26 +388,34 @@ TEST(MonteCarlo, InitialBufferSeedsVirtualPlayer) {
   const auto ladder = trace::BitrateLadder::default_ladder();
   const trace::Video video = eval.make_virtual_video(ladder, 1.0);
 
+  /// Never exits; sums every rollout's stall time into `total`.
   class StallProbe final : public ExitModel {
    public:
-    double total_stall = 0.0;
+    explicit StallProbe(double& total) : total_(total) {}
     double exit_probability(const SegmentRecord& seg) override {
-      total_stall += seg.stall_time;
+      total_ += seg.stall_time;
       return 0.0;
     }
+
+   private:
+    double& total_;
+  };
+  const auto probe_into = [](double& total) {
+    return testing_util::InlineExitEvaluator(
+        [&total] { return std::make_unique<StallProbe>(total); });
   };
 
   trace::ConstantBandwidth slow(200.0);
-  FixedSelector abr(0);
+  FixedLevelAbr abr(0);
   Rng rng(12);
 
-  StallProbe with_buffer;
-  eval.evaluate(video, abr, with_buffer, slow, 20.0,
-                std::numeric_limits<double>::infinity(), rng);
-  StallProbe without_buffer;
-  eval.evaluate(video, abr, without_buffer, slow, 0.0,
-                std::numeric_limits<double>::infinity(), rng);
-  EXPECT_LT(with_buffer.total_stall, without_buffer.total_stall);
+  double with_buffer = 0.0;
+  eval.evaluate_rollouts(video, abr, probe_into(with_buffer), slow, 20.0,
+                         std::numeric_limits<double>::infinity(), rng);
+  double without_buffer = 0.0;
+  eval.evaluate_rollouts(video, abr, probe_into(without_buffer), slow, 0.0,
+                         std::numeric_limits<double>::infinity(), rng);
+  EXPECT_LT(with_buffer, without_buffer);
 }
 
 }  // namespace
